@@ -6,43 +6,54 @@ import (
 
 	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
+	"distinct/internal/sim"
 )
 
 // Blocking: two references have nonzero similarity only if they share at
 // least one neighbor tuple along some positively weighted join path — both
 // measures (set resemblance and random walk) are sums over the shared
-// neighborhood. Grouping references into connected components of the
-// "shares a neighbor tuple" relation therefore partitions them into blocks
-// with exactly zero similarity across blocks; with any positive min-sim,
-// clustering each block independently yields the identical result while
-// skipping the quadratic pairwise work between blocks. This is the
-// classic inverted-index blocking of the record-linkage literature, made
-// exact here by the structure of the measures.
+// neighborhood. The blocks stage indexes a name's references once as
+// posting lists over the weighted paths (sim.Postings: per (path, tuple),
+// the references reaching that tuple) and takes the connected components
+// of "appear in one posting list" as blocks, with exactly zero similarity
+// across blocks; with any positive min-sim, clustering each block
+// independently yields the identical result while skipping the quadratic
+// pairwise work between blocks. This is the inverted-index blocking of the
+// record-linkage literature, made exact here by the structure of the
+// measures. The same postings then drive each block's similarity pass:
+// every list lies inside one block, so a block reads the name's lists
+// through an index remap instead of rebuilding them, and its rows visit
+// only the pairs that share a list.
 
-// unionFind is a standard disjoint-set with path halving.
-type unionFind struct{ parent []int }
+// weighted reports whether path p carries resemblance or walk weight; only
+// those paths contribute to the combined similarities.
+func (e *Engine) weighted(p int) bool { return e.resemW[p] != 0 || e.walkW[p] != 0 }
 
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
+// blockSet is one block's view of its name's postings: rows[k] is the
+// postings index of the block's k-th reference, and loc maps a postings
+// index back to its position within its own block. Nil rows and loc mean
+// the postings index exactly the block's refs; the zero blockSet carries
+// no postings.
+type blockSet struct {
+	post *sim.Postings
+	rows []int
+	loc  []int32
 }
 
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+// row returns the postings index of the block's i-th reference.
+func (b blockSet) row(i int) int {
+	if b.rows == nil {
+		return i
 	}
-	return x
+	return b.rows[i]
 }
 
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
+// local returns the position within its block of postings index g.
+func (b blockSet) local(g int32) int {
+	if b.loc == nil {
+		return int(g)
 	}
+	return int(b.loc[g])
 }
 
 // blocks partitions the references into connected components of the
@@ -50,59 +61,31 @@ func (u *unionFind) union(a, b int) {
 // resemblance or walk weight. Each block lists indexes into refs, blocks
 // ordered by smallest member, members ascending.
 func (e *Engine) blocks(refs []reldb.TupleID) [][]int {
-	out, err := e.blocksCtxAt(context.Background(), nil, refs)
+	s := e.ext.BatchScratch()
+	defer e.ext.PutBatchScratch(s)
+	out, _, err := e.blocksCtxAt(context.Background(), nil, refs, s)
 	rethrow(err)
 	return out
 }
 
 // blocksCtxAt is blocks with the stage span parented under parent and
-// cancellation observed at the stage boundary and during prefetch.
-func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]int, error) {
+// cancellation observed at the stage boundary and during prefetch. The
+// name's postings are built in s and returned alongside the blocks, for
+// the per-block similarity passes; they live as long as the caller keeps
+// s.
+func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, s *sim.BatchScratch) ([][]int, *sim.Postings, error) {
 	if err := checkStage(ctx, "blocks"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp := e.obs.StartStage("blocks")
 	tsp := parent.Start("blocks", trace.Int("refs", int64(len(refs))))
 	defer func() { sp.End(len(refs)) }()
 	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
 		tsp.End()
-		return nil, stageErr("prefetch", err)
+		return nil, nil, stageErr("prefetch", err)
 	}
-	uf := newUnionFind(len(refs))
-	nbsAll := e.ext.NeighborhoodsAll(refs, nil)
-	// Inverted index: (path, neighbor tuple) -> first reference seen with
-	// it; later references union with the first. The pair is packed into
-	// one word (TupleID is 32-bit; path counts are far below 2^32) so the
-	// map hashes 8 bytes instead of a 16-byte struct.
-	first := make(map[uint64]int)
-	for i := range refs {
-		nbs := nbsAll[i]
-		for p := range e.paths {
-			if e.resemW[p] == 0 && e.walkW[p] == 0 {
-				continue
-			}
-			pk := uint64(p) << 32
-			for _, t := range nbs[p].Keys {
-				k := pk | uint64(uint32(t))
-				if j, ok := first[k]; ok {
-					uf.union(i, j)
-				} else {
-					first[k] = i
-				}
-			}
-		}
-	}
-	byRoot := make(map[int][]int)
-	for i := range refs {
-		root := uf.find(i)
-		byRoot[root] = append(byRoot[root], i)
-	}
-	out := make([][]int, 0, len(byRoot))
-	for _, members := range byRoot {
-		sort.Ints(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	post := s.Postings(e.ext.NeighborhoodsAll(refs, nil), e.weighted)
+	out := s.Components(post)
 	if e.obs != nil {
 		// Pairs kept is Σ over blocks of b(b-1)/2; pruned is what the
 		// naive quadratic pass would have computed across blocks.
@@ -120,7 +103,7 @@ func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []rel
 	}
 	tsp.SetAttrs(trace.Int("blocks", int64(len(out))))
 	tsp.End()
-	return out, nil
+	return out, post, nil
 }
 
 // disambiguateBlocked clusters each block independently; exact for
@@ -135,10 +118,13 @@ func (e *Engine) disambiguateBlocked(refs []reldb.TupleID) [][]reldb.TupleID {
 // disambiguateBlockedCtxAt is disambiguateBlocked with stage spans parented
 // under parent and cancellation observed between blocks.
 func (e *Engine) disambiguateBlockedCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
-	blocks, err := e.blocksCtxAt(ctx, parent, refs)
+	s := e.ext.BatchScratch()
+	defer e.ext.PutBatchScratch(s)
+	blocks, post, err := e.blocksCtxAt(ctx, parent, refs, s)
 	if err != nil {
 		return nil, err
 	}
+	loc := make([]int32, len(refs))
 	pos := make(map[reldb.TupleID]int, len(refs))
 	for i, r := range refs {
 		if _, dup := pos[r]; !dup {
@@ -159,7 +145,10 @@ func (e *Engine) disambiguateBlockedCtxAt(ctx context.Context, parent *trace.Spa
 		if len(sub) == 1 {
 			clusters = [][]reldb.TupleID{sub}
 		} else {
-			m, err := e.similaritiesCtxAt(ctx, parent, sub)
+			for k, x := range block {
+				loc[x] = int32(k)
+			}
+			m, err := e.similaritiesCtxAt(ctx, parent, sub, blockSet{post: post, rows: block, loc: loc})
 			if err != nil {
 				return nil, err
 			}

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"distinct/internal/cluster"
@@ -311,37 +312,58 @@ func (e *Engine) SetUniformWeights() {
 }
 
 // SetWeights installs explicit per-path weights (clipped at zero and
-// normalised to sum 1). Mostly useful for tests and ablations.
+// normalised to sum 1). Mostly useful for tests and ablations. A NaN or
+// infinite weight is an error and leaves the engine's weights unchanged.
 func (e *Engine) SetWeights(resem, walk []float64) error {
 	if len(resem) != len(e.paths) || len(walk) != len(e.paths) {
 		return fmt.Errorf("core: weight vectors must have %d entries", len(e.paths))
 	}
-	e.resemW = normalize(resem)
-	e.walkW = normalize(walk)
+	rw, err := normalize(resem)
+	if err != nil {
+		return fmt.Errorf("core: resemblance weights: %w", err)
+	}
+	ww, err := normalize(walk)
+	if err != nil {
+		return fmt.Errorf("core: walk weights: %w", err)
+	}
+	e.resemW, e.walkW = rw, ww
 	return nil
 }
 
 // normalize clips negatives to zero and scales to sum 1 (uniform if all
-// weights vanish).
-func normalize(w []float64) []float64 {
-	out := make([]float64, len(w))
-	sum := 0.0
+// weights vanish). A NaN or infinite weight is an error. The weights are
+// summed after scaling by the power of two just above their maximum, so
+// the sum cannot overflow; scaling by a power of two is exact, so finite
+// weights whose plain sum does not overflow normalise to the same bits as
+// w[i] / Σ w.
+func normalize(w []float64) ([]float64, error) {
+	top := 0.0
 	for i, v := range w {
-		if v > 0 {
-			out[i] = v
-			sum += v
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("weight %d is %v", i, v)
 		}
+		top = max(top, v)
 	}
-	if sum == 0 {
+	out := make([]float64, len(w))
+	if top == 0 {
 		for i := range out {
 			out[i] = 1 / float64(len(out))
 		}
-		return out
+		return out, nil
+	}
+	_, exp := math.Frexp(top)
+	scale := math.Ldexp(1, -exp)
+	sum := 0.0
+	for i, v := range w {
+		if v > 0 {
+			out[i] = v * scale
+			sum += out[i]
+		}
 	}
 	for i := range out {
 		out[i] /= sum
 	}
-	return out
+	return out, nil
 }
 
 // Train builds the automatic training set, learns SVM models for both
@@ -431,6 +453,16 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 		tsp.End()
 		return nil, stageErr("train_svm", fmt.Errorf("walk SVM: %w", err))
 	}
+	resemW, err := normalize(resemScaler.FoldWeights(resemModel.PositiveWeights()))
+	if err != nil {
+		tsp.End()
+		return nil, stageErr("train_svm", fmt.Errorf("resemblance weights: %w", err))
+	}
+	walkW, err := normalize(walkScaler.FoldWeights(walkModel.PositiveWeights()))
+	if err != nil {
+		tsp.End()
+		return nil, stageErr("train_svm", fmt.Errorf("walk weights: %w", err))
+	}
 	sp.End(2 * len(ts.Pairs))
 	e.timings.TrainSVM = time.Since(t0)
 	e.timings.TotalTrain = time.Since(total)
@@ -442,8 +474,8 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 		NumRareNames:  len(ts.RareNames),
 		ResemAccuracy: svm.Accuracy(resemModel, resemScaled),
 		WalkAccuracy:  svm.Accuracy(walkModel, walkScaled),
-		ResemWeights:  normalize(resemScaler.FoldWeights(resemModel.PositiveWeights())),
-		WalkWeights:   normalize(walkScaler.FoldWeights(walkModel.PositiveWeights())),
+		ResemWeights:  resemW,
+		WalkWeights:   walkW,
 		Timings:       e.timings,
 	}
 	e.obs.Gauge("svm.resem_accuracy").Set(rep.ResemAccuracy)
@@ -525,8 +557,10 @@ func (pm *PathMatrices) NumRefs() int {
 
 // PathSimilarities computes the per-path similarity matrices among refs.
 // Neighborhoods are prefetched and the pairwise rows computed in parallel
-// under Config.Workers. For each (i,j) pair one fused merge-scan per path
-// yields the resemblance and both directed walk probabilities at once.
+// under Config.Workers. Each row walks the posting lists of its
+// reference's neighbor tuples (see sim.Postings), yielding for every pair
+// that shares a tuple on a path its resemblance and both directed walk
+// probabilities at once.
 func (e *Engine) PathSimilarities(refs []reldb.TupleID) *PathMatrices {
 	pm, err := e.pathSimilaritiesCtxAt(context.Background(), e.root(), refs)
 	rethrow(err)
@@ -573,34 +607,27 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 		tsp.End()
 		return nil, stageErr("prefetch", err)
 	}
-	nbs := e.ext.NeighborhoodsAll(refs, nil)
+	s := e.ext.BatchScratch()
+	defer e.ext.PutBatchScratch(s)
+	post := s.Postings(e.ext.NeighborhoodsAll(refs, nil), nil)
 	nn := n * n
 	// Row i fills entries (i,j) and (j,i) for j > i: every matrix cell is
 	// written by exactly one row worker, so rows can run concurrently. Per
-	// row, each path intersects i's neighborhood against the whole candidate
-	// block in one batched scatter/probe pass (sim.BatchScratch.Block),
-	// bit-identical to per-pair PairKernel calls.
+	// path, the row walks the posting lists of i's neighbor tuples
+	// (sim.BatchScratch.Row), bit-identical to per-pair PairKernel calls;
+	// pairs sharing no tuple on the path keep their zero cells.
 	err := parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
-		nc := n - i - 1
-		if nc == 0 {
-			return nil
-		}
-		s := e.ext.BatchScratch()
-		defer e.ext.PutBatchScratch(s)
-		cands, out := s.GrowBuffers(nc)
-		ni := nbs[i]
-		for p := 0; p < np; p++ {
-			for j := i + 1; j < n; j++ {
-				cands[j-i-1] = nbs[j][p]
-			}
-			s.Block(ni[p], cands, out)
+		ws := e.ext.BatchScratch()
+		defer e.ext.PutBatchScratch(ws)
+		for slot, p := range post.Paths() {
+			touched, out := ws.Row(post, slot, i)
 			base := p * nn
 			row := base + i*n
-			for k := range out {
-				j := i + 1 + k
-				pm.RFlat[row+j], pm.RFlat[base+j*n+i] = out[k].Resem, out[k].Resem
-				pm.WFlat[row+j] = out[k].WalkAB
-				pm.WFlat[base+j*n+i] = out[k].WalkBA
+			for _, j := range touched {
+				t, j := out[j], int(j)
+				pm.RFlat[row+j], pm.RFlat[base+j*n+i] = t.Resem, t.Resem
+				pm.WFlat[row+j] = t.WalkAB
+				pm.WFlat[base+j*n+i] = t.WalkBA
 			}
 		}
 		return nil
@@ -656,7 +683,7 @@ func Combine(pm *PathMatrices, resemW, walkW []float64) cluster.Matrix {
 // the engine's current weights: R[i][j] is the weighted set resemblance,
 // W[i][j] the weighted directed walk probability from i to j.
 func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
-	m, err := e.similaritiesCtxAt(context.Background(), e.root(), refs)
+	m, err := e.similaritiesCtxAt(context.Background(), e.root(), refs, blockSet{})
 	rethrow(err)
 	return m
 }
@@ -667,10 +694,14 @@ func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
 // — deterministic, no RNG) gets a "pair" event with its Explain-style
 // per-path breakdown attached to the stage span.
 //
+// When refs is one block of a name, set carries the name's postings from
+// the blocks stage (see blocks.go) and the rows read them through its
+// index remap; the zero set makes the stage index refs itself.
+//
 // With matrix reuse enabled, the combined matrix is derived from the cached
 // (or freshly cached) per-path matrices via Combine — the same floats,
 // since both accumulate per-path contributions in ascending path order.
-func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) (cluster.Matrix, error) {
+func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, set blockSet) (cluster.Matrix, error) {
 	if err := checkStage(ctx, "similarities"); err != nil {
 		return cluster.Matrix{}, err
 	}
@@ -692,7 +723,16 @@ func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs
 		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
 			return cluster.Matrix{}, stageErr("prefetch", err)
 		}
+		// A block reads its name's postings and needs no neighborhoods, but
+		// the lookup stays so sim.cache_hits counts every stage alike.
 		nbs := e.ext.NeighborhoodsAll(refs, nil)
+		post := set.post
+		if post == nil {
+			// Not a block of a larger name: index refs on their own.
+			s := e.ext.BatchScratch()
+			defer e.ext.PutBatchScratch(s)
+			post = s.Postings(nbs, e.weighted)
+		}
 		// Resolved once per stage: the per-row injection point below costs
 		// one nil check per row when fault injection is off.
 		freg := fault.From(ctx)
@@ -702,33 +742,21 @@ func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs
 					return err
 				}
 			}
-			nc := n - i - 1
-			if nc == 0 {
-				return nil
-			}
-			s := e.ext.BatchScratch()
-			defer e.ext.PutBatchScratch(s)
-			cands, out := s.GrowBuffers(nc)
-			ni := nbs[i]
+			ws := e.ext.BatchScratch()
+			defer e.ext.PutBatchScratch(ws)
 			rowR, rowW := m.R[i], m.W[i]
-			// Per path, one batched block pass over the row's candidates;
-			// contributions accumulate into the row in ascending path order —
-			// the same order (and therefore the same floats) as the per-pair
-			// loop this replaces.
-			for p := range e.paths {
+			// Per weighted path, one posting-list walk over the partners
+			// sharing a tuple with i; contributions accumulate into the row
+			// in ascending path order — the same order (and therefore the
+			// same floats) as the per-pair loop this replaces.
+			for slot, p := range post.Paths() {
 				rw, ww := e.resemW[p], e.walkW[p]
-				if rw == 0 && ww == 0 {
-					continue
-				}
-				for j := i + 1; j < n; j++ {
-					cands[j-i-1] = nbs[j][p]
-				}
-				s.Block(ni[p], cands, out)
-				for k := range out {
-					j := i + 1 + k
-					rowR[j] += rw * out[k].Resem
-					rowW[j] += ww * out[k].WalkAB
-					m.W[j][i] += ww * out[k].WalkBA
+				touched, out := ws.Row(post, slot, set.row(i))
+				for _, g := range touched {
+					t, j := out[g], set.local(g)
+					rowR[j] += rw * t.Resem
+					rowW[j] += ww * t.WalkAB
+					m.W[j][i] += ww * t.WalkBA
 				}
 			}
 			// Mirror the symmetric resemblance; each (j,i) cell below the
@@ -876,7 +904,7 @@ func (e *Engine) disambiguateRefsCtxAt(ctx context.Context, parent *trace.Span, 
 	if e.cfg.MinSim > 0 {
 		return e.disambiguateBlockedCtxAt(ctx, parent, refs)
 	}
-	m, err := e.similaritiesCtxAt(ctx, parent, refs)
+	m, err := e.similaritiesCtxAt(ctx, parent, refs, blockSet{})
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,8 @@ func (e *Engine) ExportModel() *Model {
 // ApplyModel installs a saved model's weights into the engine. The model's
 // path list must match the engine's enumerated paths exactly (same schema,
 // same MaxPathLen, same exclusions); a mismatch is an error rather than a
-// silent misalignment.
+// silent misalignment, and so is a NaN or infinite weight (see
+// SetWeights).
 func (e *Engine) ApplyModel(m *Model) error {
 	if m.Format != modelFormat {
 		return fmt.Errorf("core: model format %d unsupported (want %d)", m.Format, modelFormat)
@@ -75,9 +76,7 @@ func (e *Engine) ApplyModel(m *Model) error {
 	if len(m.ResemWeights) != len(e.paths) || len(m.WalkWeights) != len(e.paths) {
 		return fmt.Errorf("core: model weight vectors do not cover %d paths", len(e.paths))
 	}
-	e.resemW = normalize(m.ResemWeights)
-	e.walkW = normalize(m.WalkWeights)
-	return nil
+	return e.SetWeights(m.ResemWeights, m.WalkWeights)
 }
 
 // SaveModel writes the engine's current weights as JSON.

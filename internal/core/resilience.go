@@ -242,7 +242,9 @@ func (e *Engine) degraded(k int) *Engine {
 		walk[r.p] = e.walkW[r.p]
 	}
 	de := *e
-	de.resemW = normalize(resem)
-	de.walkW = normalize(walk)
+	// The kept weights are finite (normalize produced them), so the
+	// renormalisation cannot fail.
+	de.resemW, _ = normalize(resem)
+	de.walkW, _ = normalize(walk)
 	return &de
 }

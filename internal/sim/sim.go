@@ -180,9 +180,10 @@ func SymWalkProb(a, b prop.SparseNeighborhood) float64 {
 
 // PairKernel returns every pairwise similarity between two neighborhoods in
 // one merge-scan: the set resemblance and both directed walk probabilities.
-// The all-pairs stages (core.PathSimilarities, core.Similarities) need all
-// three per (pair, path), so fusing them walks the intersection once
-// instead of three times.
+// It is the reference for the all-pairs posting kernel (batch.go), which
+// the all-pairs stages (core.PathSimilarities, core.Similarities) use and
+// which must match it bit for bit; single pairs (Explain, sampled trace
+// pairs) call it directly.
 func PairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
 	interMin, ab, ba := pairAccum(a, b)
 	if len(a.Keys) != 0 && len(b.Keys) != 0 {
@@ -280,9 +281,9 @@ type Extractor struct {
 	// call; the engine wires its Config.Workers through here.
 	workers int
 
-	// batchPool pools BatchScratch instances for the block kernel, sized to
-	// the database's tuple space so the dense reverse index never grows on
-	// the warm path.
+	// batchPool pools BatchScratch instances for the posting kernel, sized
+	// to the database's tuple space so the dense tuple scatter never grows
+	// on the warm path.
 	batchPool sync.Pool
 
 	mu    sync.RWMutex
@@ -441,7 +442,7 @@ func (e *Extractor) NeighborhoodsAll(refs []reldb.TupleID, out [][]prop.SparseNe
 	return out
 }
 
-// BatchScratch borrows a block-kernel scratch from the extractor's pool,
+// BatchScratch borrows a posting-kernel scratch from the extractor's pool,
 // sized to the database's tuple space. Pair with PutBatchScratch.
 func (e *Extractor) BatchScratch() *BatchScratch {
 	if s, ok := e.batchPool.Get().(*BatchScratch); ok {
