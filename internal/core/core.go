@@ -30,6 +30,7 @@ import (
 	"distinct/internal/sim"
 	"distinct/internal/svm"
 	"distinct/internal/trainset"
+	"distinct/internal/vcache"
 )
 
 // Config tells the engine where the references live and how to process
@@ -146,7 +147,7 @@ type Engine struct {
 	// PathMatrices keyed on (refs, db version) so weight/threshold sweeps
 	// recombine instead of recompute. Nil (the default) costs one pointer
 	// check per similarity stage.
-	matCache *matrixCache
+	matCache *vcache.Cache[string, *PathMatrices]
 
 	timings Timings
 	obs     *obs.Registry // nil when observability is off
@@ -591,8 +592,10 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 	tsp := parent.Start("path_sims",
 		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
 	version := e.db.Version()
+	var key string
 	if e.matCache != nil {
-		if pm := e.matCache.get(refs, version, np); pm != nil {
+		key = matKey(refs, np)
+		if pm, state := e.matCache.Get(key, version, 0); state == vcache.Fresh {
 			e.obs.Counter("core.matrix_cache_hits").Inc()
 			tsp.SetAttrs(trace.Bool("reused", true))
 			sp.End(0) // no pairwise work done
@@ -638,7 +641,7 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 		return nil, stageErr("path_sims", err)
 	}
 	if e.matCache != nil {
-		if ev := e.matCache.put(refs, version, pm); ev > 0 {
+		if ev := e.matCache.Put(key, version, pm, matBytes(pm)); ev > 0 {
 			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
 		}
 	}

@@ -7,74 +7,34 @@ import (
 	"distinct/internal/obs"
 	"distinct/internal/obs/trace"
 	"distinct/internal/reldb"
+	"distinct/internal/vcache"
 )
 
-// fakePM builds a PathMatrices of the given shape (contents irrelevant to
-// the cache, which treats matrices as opaque).
-func fakePM(numPaths, n int) *PathMatrices { return NewPathMatrices(numPaths, n) }
-
-// TestMatrixCacheUnit exercises the LRU directly: hit, miss, version purge,
-// byte-budget eviction, racing-put dedup.
+// TestMatrixCacheUnit pins the matrix cache's key: a block is found again
+// under the same refs and path count, and a different reference list or
+// path set never shares its entry. The LRU itself is tested in vcache.
 func TestMatrixCacheUnit(t *testing.T) {
 	refsA := []reldb.TupleID{1, 2, 3}
-	refsB := []reldb.TupleID{4, 5, 6}
-	pmA, pmB := fakePM(2, 3), fakePM(2, 3)
+	refsB := []reldb.TupleID{1, 2, 4}
+	pmA := NewPathMatrices(2, 3)
 
-	c := newMatrixCache(DefaultMatrixCacheBytes)
-	if got := c.get(refsA, 0, 2); got != nil {
-		t.Fatal("empty cache returned a hit")
-	}
-	c.put(refsA, 0, pmA)
-	if got := c.get(refsA, 0, 2); got != pmA {
+	c := vcache.New[string, *PathMatrices](DefaultMatrixCacheBytes)
+	c.Put(matKey(refsA, 2), 0, pmA, matBytes(pmA))
+	if got, state := c.Get(matKey(refsA, 2), 0, 0); state != vcache.Fresh || got != pmA {
 		t.Fatal("cache missed the block it just stored")
 	}
-	if got := c.get(refsB, 0, 2); got != nil {
-		t.Fatal("different refs hit the wrong entry")
-	}
-	if got := c.get(refsA, 0, 3); got != nil {
-		t.Fatal("different path count hit the wrong entry")
-	}
-	// Racing put of the same key is dropped, not double-counted.
-	used := c.used
-	c.put(refsA, 0, fakePM(2, 3))
-	if c.used != used || c.Len() != 1 {
-		t.Fatalf("duplicate put changed the cache: used %d -> %d, len %d", used, c.used, c.Len())
-	}
-	// A newer version misses, and probing purges the stale entry.
-	c.put(refsB, 0, pmB)
-	if got := c.get(refsA, 1, 2); got != nil {
-		t.Fatal("stale version returned a hit")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("stale entry not purged on probe: len = %d, want 1", c.Len())
-	}
-
-	// Byte-budget eviction: a budget that fits ~2 of these blocks must
-	// evict the least recently used when a third arrives.
-	blockBytes := int64(16*2*8*8 + 48*2*8)
-	small := newMatrixCache(2 * blockBytes)
-	mk := func(i int) []reldb.TupleID {
-		return []reldb.TupleID{reldb.TupleID(10 * i), reldb.TupleID(10*i + 1), 0, 0, 0, 0, 0, 0}
-	}
-	small.put(mk(1), 0, fakePM(2, 8))
-	small.put(mk(2), 0, fakePM(2, 8))
-	small.get(mk(1), 0, 2) // touch 1: 2 becomes LRU
-	small.put(mk(3), 0, fakePM(2, 8))
-	if small.Len() != 2 {
-		t.Fatalf("len after eviction = %d, want 2", small.Len())
-	}
-	if small.get(mk(2), 0, 2) != nil {
-		t.Fatal("LRU entry survived eviction")
-	}
-	if small.get(mk(1), 0, 2) == nil || small.get(mk(3), 0, 2) == nil {
-		t.Fatal("recently used entries were evicted")
-	}
-
-	// An entry larger than the whole budget is still kept, alone.
-	tiny := newMatrixCache(1)
-	tiny.put(refsA, 0, pmA)
-	if tiny.get(refsA, 0, 2) != pmA {
-		t.Fatal("over-budget entry was not kept")
+	for _, probe := range []struct {
+		name     string
+		refs     []reldb.TupleID
+		numPaths int
+	}{
+		{"different refs", refsB, 2},
+		{"different path count", refsA, 3},
+		{"prefix of the refs", refsA[:2], 2},
+	} {
+		if _, state := c.Get(matKey(probe.refs, probe.numPaths), 0, 0); state != vcache.Miss {
+			t.Errorf("%s hit the wrong entry", probe.name)
+		}
 	}
 }
 

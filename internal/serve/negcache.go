@@ -1,13 +1,8 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-	"time"
-)
-
-// Negative-result cache for the 404 path: a count-bounded LRU of names known
-// to have no references at a given database version. A miss for an unknown
+// Negative-result cache for the 404 path: a count-bounded vcache.Cache of
+// names known to have no references at a given database version (every
+// entry costs 1, so the budget is an entry count). A miss for an unknown
 // name still walks the backend's name index; fleets of probing clients (and
 // typo storms) repeat the same unknown names, so remembering "not found at
 // version V" turns those repeats into a map hit. Version-keyed like the
@@ -22,117 +17,3 @@ import (
 // NegCacheEntries = 0 selects. Entries are a map slot plus the name bytes,
 // so even the default costs well under a megabyte.
 const DefaultNegCacheEntries = 4096
-
-type negEntry struct {
-	name    string
-	version int64
-	elem    *list.Element
-	// staleSince mirrors cacheEntry.staleSince: zero while fresh, set when
-	// the entry is first observed at an older version than the probe.
-	staleSince time.Time
-}
-
-// negCache is a count-bounded LRU of (name, version) not-found facts. Safe
-// for concurrent use; nil disables (every method no-ops).
-type negCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are *negEntry
-	m   map[string]*negEntry
-	now func() time.Time // swappable clock for staleness tests
-}
-
-func newNegCache(capacity int) *negCache {
-	return &negCache{cap: capacity, ll: list.New(), m: make(map[string]*negEntry), now: time.Now}
-}
-
-// get reports whether name is known-absent at version, and — when the known
-// fact is from an older version inside the maxStale window — whether it is
-// being served stale. Past the window (or with maxStale <= 0) an old entry
-// is purged on the way through, mirroring resultCache.get.
-func (c *negCache) get(name string, version int64, maxStale time.Duration) (hit, stale bool) {
-	if c == nil {
-		return false, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[name]
-	if !ok {
-		return false, false
-	}
-	if e.version == version {
-		c.ll.MoveToFront(e.elem)
-		return true, false
-	}
-	if e.version < version && maxStale > 0 {
-		now := c.now()
-		if e.staleSince.IsZero() {
-			e.staleSince = now
-		}
-		if now.Sub(e.staleSince) <= maxStale {
-			c.ll.MoveToFront(e.elem)
-			return true, true
-		}
-	}
-	c.remove(e)
-	return false, false
-}
-
-// put records that name had no references at version, evicting the
-// least-recently-used entry past capacity. Returns how many entries were
-// evicted for the serve.negcache_evictions counter.
-func (c *negCache) put(name string, version int64) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.m[name]; ok {
-		if prev.version >= version {
-			return 0
-		}
-		c.remove(prev)
-	}
-	e := &negEntry{name: name, version: version}
-	e.elem = c.ll.PushFront(e)
-	c.m[name] = e
-	var evicted int64
-	for c.ll.Len() > c.cap && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		c.remove(back.Value.(*negEntry))
-		evicted++
-	}
-	return evicted
-}
-
-// drop forgets name unconditionally. The compute path calls it when a
-// clean result is published: a positive fact at the current version
-// supersedes any negative fact, stale or not — without this, a stale
-// negative would keep winning the probe order over the freshly cached
-// result until the stale window closed.
-func (c *negCache) drop(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.m[name]; ok {
-		c.remove(e)
-	}
-	c.mu.Unlock()
-}
-
-// remove unlinks e; callers hold mu.
-func (c *negCache) remove(e *negEntry) {
-	c.ll.Remove(e.elem)
-	delete(c.m, e.name)
-}
-
-// Len reports how many names are cached (for tests).
-func (c *negCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

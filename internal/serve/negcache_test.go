@@ -11,53 +11,6 @@ import (
 	"distinct/internal/core"
 )
 
-// nget probes with staleness disabled, collapsing (hit, stale) to the
-// pre-SWR boolean the version-strict tests pin.
-func nget(c *negCache, name string, version int64) bool {
-	hit, _ := c.get(name, version, 0)
-	return hit
-}
-
-func TestNegCacheUnit(t *testing.T) {
-	nc := newNegCache(2)
-	if nget(nc, "a", 1) {
-		t.Error("empty cache hit")
-	}
-	nc.put("a", 1)
-	nc.put("b", 1)
-	if !nget(nc, "a", 1) || !nget(nc, "b", 1) {
-		t.Error("fresh entries missing")
-	}
-	// A version bump invalidates (and purges) the stale entry.
-	if nget(nc, "a", 2) {
-		t.Error("stale entry served across versions")
-	}
-	if nc.Len() != 1 {
-		t.Errorf("stale entry not purged: len=%d", nc.Len())
-	}
-	// LRU eviction: touch b, insert two more, b's competitor goes first.
-	nc.put("a", 2)
-	nget(nc, "a", 2) // refresh a
-	if ev := nc.put("c", 2); ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
-	}
-	if !nget(nc, "a", 2) {
-		t.Error("recently used entry evicted")
-	}
-	if nget(nc, "b", 1) {
-		t.Error("LRU victim survived")
-	}
-
-	var nilNC *negCache
-	if nget(nilNC, "x", 1) {
-		t.Error("nil negcache hit")
-	}
-	nilNC.put("x", 1)
-	if nilNC.Len() != 0 {
-		t.Error("nil negcache has entries")
-	}
-}
-
 func TestNegativeCacheServes404sCheaply(t *testing.T) {
 	b := newStubBackend("Wei Wang")
 	s := newTestServer(t, b, nil)

@@ -19,6 +19,7 @@ import (
 	"distinct/internal/obs"
 	flightrec "distinct/internal/obs/flight"
 	"distinct/internal/obs/trace"
+	"distinct/internal/vcache"
 )
 
 // Defaults for the knobs Options leaves zero.
@@ -219,8 +220,8 @@ type Server struct {
 	backend     Backend
 	traced      TracedBackend // backend's tracing extension, nil if unsupported
 	reg         *obs.Registry
-	cache       *resultCache
-	neg         *negCache
+	cache       *vcache.Cache[string, *NameResult] // cost: resultBytes
+	neg         *vcache.Cache[string, struct{}]    // cost 1: budget is an entry count
 	flights     *flightGroup
 	adm         *admission
 	handler     http.Handler
@@ -352,17 +353,17 @@ func New(opts Options) (*Server, error) {
 	case opts.CacheBytes < 0:
 		// caching disabled
 	case opts.CacheBytes == 0:
-		s.cache = newResultCache(DefaultCacheBytes)
+		s.cache = vcache.New[string, *NameResult](DefaultCacheBytes)
 	default:
-		s.cache = newResultCache(opts.CacheBytes)
+		s.cache = vcache.New[string, *NameResult](opts.CacheBytes)
 	}
 	switch {
 	case opts.NegCacheEntries < 0:
 		// negative cache disabled
 	case opts.NegCacheEntries == 0:
-		s.neg = newNegCache(DefaultNegCacheEntries)
+		s.neg = vcache.New[string, struct{}](DefaultNegCacheEntries)
 	default:
-		s.neg = newNegCache(opts.NegCacheEntries)
+		s.neg = vcache.New[string, struct{}](int64(opts.NegCacheEntries))
 	}
 
 	// Request observability: flight recorder (default on — it is the
@@ -696,8 +697,8 @@ type lookupMeta struct {
 // hot names keep answering from cache while revalidation fills in behind.
 func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMeta, error) {
 	version := s.backend.Version()
-	if hit, stale := s.neg.get(name, version, s.maxStale); hit {
-		if stale {
+	if _, state := s.neg.Get(name, version, s.maxStale); state != vcache.Miss {
+		if state == vcache.Stale {
 			s.cStaleNeg.Inc()
 			s.revalidate(name, version)
 			return nil, lookupMeta{negCached: true, stale: true}, errNotFound
@@ -705,10 +706,10 @@ func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMe
 		s.cNegHits.Inc()
 		return nil, lookupMeta{negCached: true}, errNotFound
 	}
-	if res, state := s.cache.get(name, version, s.maxStale); state == cacheFresh {
+	if res, state := s.cache.Get(name, version, s.maxStale); state == vcache.Fresh {
 		s.cCacheHits.Inc()
 		return res, lookupMeta{cached: true}, nil
-	} else if state == cacheStale {
+	} else if state == vcache.Stale {
 		s.cStaleHits.Inc()
 		s.revalidate(name, version)
 		return res, lookupMeta{cached: true, stale: true}, nil
@@ -717,7 +718,7 @@ func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMe
 		// A negcache miss is counted only on this slow 404 path, so
 		// hits/(hits+misses) reads as the fraction of 404s served cheaply.
 		s.cNegMisses.Inc()
-		if evicted := s.neg.put(name, version); evicted > 0 {
+		if evicted := s.neg.Put(name, version, struct{}{}, 1); evicted > 0 {
 			s.cNegEvict.Add(evicted)
 		}
 		return nil, lookupMeta{}, errNotFound
@@ -756,7 +757,7 @@ func (s *Server) revalidate(name string, version int64) {
 			if s.backend.NumRefs(name) == 0 {
 				// The name vanished (or never existed at this version): refresh
 				// the negative fact so the next probe 404s fresh.
-				if evicted := s.neg.put(name, version); evicted > 0 {
+				if evicted := s.neg.Put(name, version, struct{}{}, 1); evicted > 0 {
 					s.cNegEvict.Add(evicted)
 				}
 				return nil, errNotFound
@@ -897,13 +898,13 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 			cp.trace = nil
 			stored = &cp
 		}
-		if evicted := s.cache.put(name, version, stored); evicted > 0 {
+		if evicted := s.cache.Put(name, version, stored, resultBytes(name, stored)); evicted > 0 {
 			s.cCacheEvict.Add(evicted)
 		}
 		// A published positive result supersedes any negative fact for the
 		// name (a stale negative would otherwise outrank the fresh entry in
 		// lookup's probe order).
-		s.neg.drop(name)
+		s.neg.Drop(name)
 	}
 	return res, nil
 }

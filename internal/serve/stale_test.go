@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distinct/internal/vcache"
 )
 
 // TestStaleServeAndRevalidate is the stale-while-revalidate happy path: a
@@ -129,13 +131,18 @@ func TestStaleWindowExpires(t *testing.T) {
 	waitUntil(t, "revalidation to land", func() bool { return s.flights.inflight() == 0 })
 	calls := b.calls.Load()
 
-	// Outdate the fresh entry again and age it past the window directly
-	// (probing to age it would launch a revalidation and race the final
-	// assertion): the probe must treat the entry as gone, not stale.
+	// Outdate the fresh entry again and age it past the window on a fixed
+	// clock (probing over HTTP to age it would launch a revalidation and
+	// race the final assertion): one direct probe at the new version starts
+	// the window, then the clock moves past MaxStale and the HTTP probe
+	// must treat the entry as gone, not stale.
 	b.Bump()
-	s.cache.mu.Lock()
-	s.cache.m["Wei Wang"].staleSince = time.Now().Add(-2 * time.Minute)
-	s.cache.mu.Unlock()
+	t0 := time.Now()
+	s.cache.SetClock(func() time.Time { return t0 })
+	if _, state := s.cache.Get("Wei Wang", b.Version(), s.maxStale); state != vcache.Stale {
+		t.Fatalf("direct probe after bump = %d, want Stale", state)
+	}
+	s.cache.SetClock(func() time.Time { return t0.Add(s.maxStale + time.Nanosecond) })
 	w, resp := doJSON(t, s.Handler(), "GET", "/v1/name/Wei%20Wang", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-expiry status %d", w.Code)
