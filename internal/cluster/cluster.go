@@ -225,35 +225,23 @@ type Merge struct {
 	Sim  float64
 }
 
-// Agglomerate clusters n references under the options and returns the
+// AgglomerateCtx clusters n references under the options and returns the
 // resulting partition as lists of reference indexes. Clusters are sorted by
 // their smallest member and members ascending, so output is deterministic.
 // The member slices share one backing array; append to a cluster only via
 // the usual copy-on-grow semantics (they are carved at full capacity).
-func Agglomerate(n int, ps PairSim, opts Options) [][]int {
-	out, _ := AgglomerateTrace(n, ps, opts, false)
-	return out
-}
-
-// AgglomerateCtx is Agglomerate under a context: cancellation is observed
-// between heap-build rows and between merge iterations, so a pathological
-// block aborts with latency bounded by one row / one merge step. The merge
-// loop also exposes the "cluster.merge" fault point for chaos testing.
+// Cancellation is observed between heap-build rows and between merge
+// iterations, so a pathological block aborts with latency bounded by one
+// row / one merge step. The merge loop also exposes the "cluster.merge"
+// fault point for chaos testing.
 func AgglomerateCtx(ctx context.Context, n int, ps PairSim, opts Options) ([][]int, error) {
 	out, _, err := AgglomerateTraceCtx(ctx, n, ps, opts, false)
 	return out, err
 }
 
-// AgglomerateTrace is Agglomerate that also returns the merge trace when
-// withTrace is set (tracing copies member slices, so it costs O(n²) extra
-// in the worst case).
-func AgglomerateTrace(n int, ps PairSim, opts Options, withTrace bool) ([][]int, []Merge) {
-	out, mergeLog, _ := AgglomerateTraceCtx(context.Background(), n, ps, opts, withTrace)
-	return out, mergeLog
-}
-
-// AgglomerateTraceCtx is AgglomerateTrace under a context (see
-// AgglomerateCtx for where cancellation is observed).
+// AgglomerateTraceCtx is AgglomerateCtx that also returns the merge trace
+// when withTrace is set (tracing copies member slices, so it costs O(n²)
+// extra in the worst case).
 func AgglomerateTraceCtx(ctx context.Context, n int, ps PairSim, opts Options, withTrace bool) ([][]int, []Merge, error) {
 	return agglomerate(ctx, n, ps, opts, withTrace, nil)
 }

@@ -38,17 +38,10 @@ type Dendrogram struct {
 	Merges []DendroMerge
 }
 
-// AgglomerateDendrogram runs the merge loop once with MinSim 0 and records
-// every merge. MinSim in opts is ignored; Obs receives
+// AgglomerateDendrogramCtx runs the merge loop once with MinSim 0 and
+// records every merge. MinSim in opts is ignored; Obs receives
 // cluster.dendrogram_runs (instead of cluster.runs), cluster.merges, and
-// cluster.heap_stale_pops.
-func AgglomerateDendrogram(n int, ps PairSim, opts Options) *Dendrogram {
-	d, _ := AgglomerateDendrogramCtx(context.Background(), n, ps, opts)
-	return d
-}
-
-// AgglomerateDendrogramCtx is AgglomerateDendrogram under a context (see
-// AgglomerateCtx for where cancellation is observed).
+// cluster.heap_stale_pops. Cancellation is observed as in AgglomerateCtx.
 func AgglomerateDendrogramCtx(ctx context.Context, n int, ps PairSim, opts Options) (*Dendrogram, error) {
 	d := &Dendrogram{N: n}
 	if n <= 0 {
@@ -78,10 +71,10 @@ func (d *Dendrogram) cutPrefix(minSim float64) (int, bool) {
 	return j, true
 }
 
-// Cut derives the partition a direct Agglomerate run at minSim would
+// Cut derives the partition a direct AgglomerateCtx run at minSim would
 // produce, bit-identically, when the recorded sequence is prefix-consistent
 // for that threshold; ok is false (and the partition nil) otherwise. Output
-// follows Agglomerate's order: clusters by smallest member, members
+// follows AgglomerateCtx's order: clusters by smallest member, members
 // ascending.
 func (d *Dendrogram) Cut(minSim float64) ([][]int, bool) {
 	if minSim < 0 {
@@ -97,7 +90,7 @@ func (d *Dendrogram) Cut(minSim float64) ([][]int, bool) {
 }
 
 // CutDendrogram is Dendrogram.Cut as a package function, mirroring
-// Agglomerate's shape.
+// AgglomerateCtx's shape.
 func CutDendrogram(d *Dendrogram, minSim float64) ([][]int, bool) {
 	return d.Cut(minSim)
 }
@@ -170,7 +163,8 @@ func (d *Dendrogram) CutAtGap(minRatio float64) (float64, bool) {
 
 // CutOrAgglomerate derives the partition at opts.MinSim from the
 // dendrogram when the cut is prefix-consistent, and falls back to a direct
-// run otherwise — bit-identical to Agglomerate(d.N, ps, opts) either way.
+// run otherwise — bit-identical to AgglomerateCtx(ctx, d.N, ps, opts)
+// either way.
 // Fallbacks post cluster.dendrogram_fallbacks to opts.Obs (the direct run
 // then posts its usual counters).
 func CutOrAgglomerate(d *Dendrogram, ps PairSim, opts Options) [][]int {
@@ -180,5 +174,8 @@ func CutOrAgglomerate(d *Dendrogram, ps PairSim, opts Options) [][]int {
 	if opts.Obs != nil {
 		opts.Obs.Counter("cluster.dendrogram_fallbacks").Inc()
 	}
-	return Agglomerate(d.N, ps, opts)
+	// A background context neither cancels nor injects faults, so the
+	// direct run cannot fail.
+	out, _ := AgglomerateCtx(context.Background(), d.N, ps, opts)
+	return out
 }

@@ -18,13 +18,13 @@ func TestDendrogramCutMatchesDirect(t *testing.T) {
 		n := 2 + rng.Intn(36)
 		m := randomMatrix(rng, n)
 		for _, meas := range allMeasures {
-			d := AgglomerateDendrogram(n, m, Options{Measure: meas})
+			d := mustDendrogram(t, n, m, Options{Measure: meas})
 			if len(d.Merges) != n-1 {
 				t.Fatalf("%v: dendrogram has %d merges for n=%d", meas, len(d.Merges), n)
 			}
 			for _, ms := range grid {
 				opts := Options{Measure: meas, MinSim: ms}
-				want := Agglomerate(n, m, opts)
+				want := mustAgglomerate(t, n, m, opts)
 				got := CutOrAgglomerate(d, m, opts)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%v min-sim %v: cut mismatch\nwant %v\ngot  %v",
@@ -49,7 +49,7 @@ func TestDendrogramCutAtRecordedBoundaries(t *testing.T) {
 	n := 24
 	m := randomMatrix(rng, n)
 	for _, meas := range allMeasures {
-		d := AgglomerateDendrogram(n, m, Options{Measure: meas})
+		d := mustDendrogram(t, n, m, Options{Measure: meas})
 		var thresholds []float64
 		for i, mg := range d.Merges {
 			thresholds = append(thresholds, mg.Sim)
@@ -59,7 +59,7 @@ func TestDendrogramCutAtRecordedBoundaries(t *testing.T) {
 		}
 		for _, ms := range thresholds {
 			opts := Options{Measure: meas, MinSim: ms}
-			want := Agglomerate(n, m, opts)
+			want := mustAgglomerate(t, n, m, opts)
 			got := CutOrAgglomerate(d, m, opts)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%v min-sim %v: boundary cut mismatch", meas, ms)
@@ -121,7 +121,7 @@ func TestCutPrefixOrderedProfile(t *testing.T) {
 	// probability grows with cluster size, so the profile rises as a blob
 	// assembles.)
 	m := blobs(12, 6, 0.8, 0.001)
-	d := AgglomerateDendrogram(12, m, Options{Measure: Combined})
+	d := mustDendrogram(t, 12, m, Options{Measure: Combined})
 	for _, ms := range []float64{0.01, 0.1, 0.5} {
 		out, ok := d.Cut(ms)
 		if !ok {
@@ -141,7 +141,7 @@ func TestDendrogramCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 16
 	m := randomMatrix(rng, n)
-	d := AgglomerateDendrogram(n, m, Options{Measure: Combined, Obs: reg})
+	d := mustDendrogram(t, n, m, Options{Measure: Combined, Obs: reg})
 	if got := reg.Counter("cluster.dendrogram_runs").Value(); got != 1 {
 		t.Fatalf("cluster.dendrogram_runs = %d, want 1", got)
 	}
@@ -175,12 +175,12 @@ func TestAgglomerateAutoMatchesTwoRunReference(t *testing.T) {
 		m := randomMatrix(rng, n)
 		for _, meas := range []Measure{Combined, ResemOnly} {
 			got := AgglomerateAuto(n, m, meas, DefaultGapRatio, 0.01)
-			_, trace := AgglomerateTrace(n, m, Options{Measure: meas, MinSim: 0}, true)
+			_, trace := mustAgglomerateTrace(t, n, m, Options{Measure: meas, MinSim: 0}, true)
 			cut, ok := CutAtGap(trace, DefaultGapRatio)
 			if !ok {
 				cut = 0.01
 			}
-			want := Agglomerate(n, m, Options{Measure: meas, MinSim: cut})
+			want := mustAgglomerate(t, n, m, Options{Measure: meas, MinSim: cut})
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d %v: auto mismatch\nwant %v\ngot  %v", seed, meas, want, got)
 			}
@@ -195,11 +195,11 @@ func TestAgglomerateAutoMatchesTwoRunReference(t *testing.T) {
 }
 
 func TestDendrogramTrivialSizes(t *testing.T) {
-	if d := AgglomerateDendrogram(0, Matrix{}, Options{}); d.N != 0 || len(d.Merges) != 0 {
+	if d := mustDendrogram(t, 0, Matrix{}, Options{}); d.N != 0 || len(d.Merges) != 0 {
 		t.Fatalf("n=0 dendrogram: %+v", d)
 	}
 	m := NewMatrix(1)
-	d := AgglomerateDendrogram(1, m, Options{})
+	d := mustDendrogram(t, 1, m, Options{})
 	if len(d.Merges) != 0 {
 		t.Fatalf("n=1 dendrogram has merges: %+v", d.Merges)
 	}

@@ -50,7 +50,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 			for _, ms := range minSims {
 				opts := Options{Measure: meas, MinSim: ms}
 				wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-				gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
+				gotOut, gotTrace := mustAgglomerateTrace(t, n, m, opts, true)
 				label := opts.Measure.String()
 				requireSamePartition(t, wantOut, gotOut, label)
 				requireSameTrace(t, wantTrace, gotTrace, label)
@@ -81,7 +81,7 @@ func TestLinkMeasuresOrientationFlat(t *testing.T) {
 		for _, meas := range []Measure{SingleLink, CompleteLink, Combined, WalkOnly} {
 			opts := Options{Measure: meas, MinSim: 0.002}
 			wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-			gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
+			gotOut, gotTrace := mustAgglomerateTrace(t, n, m, opts, true)
 			requireSamePartition(t, wantOut, gotOut, meas.String())
 			requireSameTrace(t, wantTrace, gotTrace, meas.String())
 		}
@@ -98,9 +98,9 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		m := randomMatrix(rng, n)
 		meas := allMeasures[trial%len(allMeasures)]
 		opts := Options{Measure: meas, MinSim: 0.01, Scratch: scr}
-		got := Agglomerate(n, m, opts)
+		got := mustAgglomerate(t, n, m, opts)
 		opts.Scratch = nil
-		want := Agglomerate(n, m, opts)
+		want := mustAgglomerate(t, n, m, opts)
 		requireSamePartition(t, want, got, "scratch reuse")
 	}
 }
@@ -114,7 +114,7 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 	for _, meas := range []Measure{Combined, SingleLink} {
 		opts := Options{Measure: meas, MinSim: 0}
 		wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-		gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
+		gotOut, gotTrace := mustAgglomerateTrace(t, n, m, opts, true)
 		requireSamePartition(t, wantOut, gotOut, meas.String())
 		requireSameTrace(t, wantTrace, gotTrace, meas.String())
 		if len(gotTrace) != n-1 {
@@ -128,7 +128,7 @@ func TestHeapStalePopsCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 32
 	m := randomMatrix(rng, n)
-	Agglomerate(n, m, Options{Measure: Combined, MinSim: 0, Obs: reg})
+	mustAgglomerate(t, n, m, Options{Measure: Combined, MinSim: 0, Obs: reg})
 	if reg.Counter("cluster.heap_stale_pops").Value() == 0 {
 		t.Fatal("a full random-matrix agglomeration should pop stale entries")
 	}
@@ -149,7 +149,7 @@ func TestMergeLoopCancelScratchHygiene(t *testing.T) {
 	m := randomMatrix(rng, n)
 	opts := Options{Measure: Combined, MinSim: 0}
 
-	want := Agglomerate(n, m, opts)
+	want := mustAgglomerate(t, n, m, opts)
 
 	scr := NewScratch()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -166,7 +166,7 @@ func TestMergeLoopCancelScratchHygiene(t *testing.T) {
 	}
 
 	// The dirtied scratch must reset cleanly.
-	got := Agglomerate(n, m, optsScr)
+	got := mustAgglomerate(t, n, m, optsScr)
 	requireSamePartition(t, want, got, "post-cancel reuse")
 }
 
@@ -178,7 +178,7 @@ func TestMergeLoopErrorPooledRunsStayClean(t *testing.T) {
 	n := 20
 	m := randomMatrix(rng, n)
 	opts := Options{Measure: Combined, MinSim: 0}
-	want := Agglomerate(n, m, opts)
+	want := mustAgglomerate(t, n, m, opts)
 
 	freg := fault.NewRegistry(1)
 	freg.Set("cluster.merge", fault.Rule{OnHit: 3, Err: fault.ErrInjected})
@@ -186,7 +186,7 @@ func TestMergeLoopErrorPooledRunsStayClean(t *testing.T) {
 		t.Fatal("expected the injected error")
 	}
 	for i := 0; i < 4; i++ {
-		got := Agglomerate(n, m, opts)
+		got := mustAgglomerate(t, n, m, opts)
 		requireSamePartition(t, want, got, "post-error pooled run")
 	}
 }
@@ -195,7 +195,7 @@ func TestPartitionSlicesAreGrowSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 18
 	m := randomMatrix(rng, n)
-	out := Agglomerate(n, m, Options{Measure: Combined, MinSim: 0.05})
+	out := mustAgglomerate(t, n, m, Options{Measure: Combined, MinSim: 0.05})
 	if len(out) < 2 {
 		t.Skip("need at least two clusters for the aliasing check")
 	}

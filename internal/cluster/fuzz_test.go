@@ -47,7 +47,7 @@ func FuzzAgglomerate(f *testing.F) {
 
 		opts := Options{Measure: meas, MinSim: minSim}
 		wantOut, wantTrace := AgglomerateMapTrace(n, m, opts, true)
-		gotOut, gotTrace := AgglomerateTrace(n, m, opts, true)
+		gotOut, gotTrace := mustAgglomerateTrace(t, n, m, opts, true)
 		if !reflect.DeepEqual(wantOut, gotOut) {
 			t.Fatalf("partition mismatch (n=%d %v min-sim %v)\nwant %v\ngot  %v",
 				n, meas, minSim, wantOut, gotOut)
@@ -92,7 +92,7 @@ func FuzzAgglomerate(f *testing.F) {
 		}
 
 		// Dendrogram cut (with fallback) must match the direct run too.
-		d := AgglomerateDendrogram(n, m, Options{Measure: meas})
+		d := mustDendrogram(t, n, m, Options{Measure: meas})
 		if cut := CutOrAgglomerate(d, m, opts); !reflect.DeepEqual(gotOut, cut) {
 			t.Fatalf("dendrogram cut mismatch (min-sim %v)\ndirect %v\ncut    %v",
 				minSim, gotOut, cut)

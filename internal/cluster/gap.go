@@ -1,6 +1,9 @@
 package cluster
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // Threshold-free stopping (an extension beyond the paper): instead of a
 // global min-sim, cut each name's dendrogram at its largest similarity
@@ -115,7 +118,9 @@ func AgglomerateAuto(n int, ps PairSim, measure Measure, minRatio, fallbackMinSi
 	if n <= 0 {
 		return nil
 	}
-	d := AgglomerateDendrogram(n, ps, Options{Measure: measure})
+	// A background context neither cancels nor injects faults, so the
+	// recording run cannot fail.
+	d, _ := AgglomerateDendrogramCtx(context.Background(), n, ps, Options{Measure: measure})
 	cut, ok := d.CutAtGap(minRatio)
 	if !ok {
 		cut = fallbackMinSim

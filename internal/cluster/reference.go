@@ -15,7 +15,7 @@ type refClusterState struct {
 	alive   bool
 }
 
-// AgglomerateMapTrace clusters n references exactly like AgglomerateTrace
+// AgglomerateMapTrace clusters n references exactly like AgglomerateTraceCtx
 // but with the original map-keyed pair-stats storage and eagerly
 // materialised member lists. Reference implementation only: quadratic
 // allocation behaviour, no observability.

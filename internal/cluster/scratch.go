@@ -10,7 +10,7 @@ import "sync"
 // returned partition (two slices) is allocated per run.
 //
 // A Scratch is reset at the start of every run, so reuse after an aborted
-// run is safe. It is not safe for concurrent use; Agglomerate draws one
+// run is safe. It is not safe for concurrent use; AgglomerateCtx draws one
 // from an internal sync.Pool when Options.Scratch is nil, and returns it
 // only when the run succeeds — an errored run drops its scratch rather than
 // risk handing a torn buffer to the next caller.

@@ -8,7 +8,7 @@ import (
 
 func TestTraceRecordsMerges(t *testing.T) {
 	m := blobs(4, 2, 0.9, 0.001)
-	out, trace := AgglomerateTrace(4, m, Options{Measure: Combined, MinSim: 0.05}, true)
+	out, trace := mustAgglomerateTrace(t, 4, m, Options{Measure: Combined, MinSim: 0.05}, true)
 	if len(out) != 2 {
 		t.Fatalf("clusters %v", out)
 	}
@@ -29,7 +29,7 @@ func TestTraceRecordsMerges(t *testing.T) {
 func TestTraceDescendingSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomMatrix(rng, 12)
-	_, trace := AgglomerateTrace(12, m, Options{Measure: Combined, MinSim: 0}, true)
+	_, trace := mustAgglomerateTrace(t, 12, m, Options{Measure: Combined, MinSim: 0}, true)
 	if len(trace) != 11 {
 		t.Fatalf("full merge needs 11 steps, got %d", len(trace))
 	}
@@ -64,12 +64,12 @@ func TestTraceOffMatchesOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := randomMatrix(rng, 10)
 	opts := Options{Measure: Combined, MinSim: 0.1}
-	a := Agglomerate(10, m, opts)
-	b, trace := AgglomerateTrace(10, m, opts, true)
+	a := mustAgglomerate(t, 10, m, opts)
+	b, trace := mustAgglomerateTrace(t, 10, m, opts, true)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("tracing changed the clustering")
 	}
-	c, noTrace := AgglomerateTrace(10, m, opts, false)
+	c, noTrace := mustAgglomerateTrace(t, 10, m, opts, false)
 	if noTrace != nil {
 		t.Error("trace returned despite withTrace=false")
 	}

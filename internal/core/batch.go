@@ -106,21 +106,15 @@ type BatchOptions struct {
 	RetryGate func() bool
 }
 
-// DisambiguateAll runs DISTINCT over every name with at least minRefs
-// references — the "clean the whole database" operation a downstream user
-// wants. Names whose references all collapse into one group are counted
-// but not returned; names that split are reported with their groups.
-//
-// minRefs below 2 is treated as 2 (a single reference cannot split).
-func (e *Engine) DisambiguateAll(minRefs int) (*BatchResult, error) {
-	return e.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: minRefs})
-}
-
-// DisambiguateAllCtx is DisambiguateAll under a context and per-name
-// budgets (see BatchOptions and the BatchResult partial-results contract).
-// Cancellation of ctx is observed between names and between chunks inside
-// each name's stages; the returned error is wrapped with the stage that
-// observed it, and the partial BatchResult is still returned.
+// DisambiguateAllCtx runs DISTINCT over every name with at least
+// opts.MinRefs references — the "clean the whole database" operation a
+// downstream user wants. Names whose references all collapse into one group
+// are counted but not returned; names that split are reported with their
+// groups. Per-name budgets follow BatchOptions and the BatchResult
+// partial-results contract. Cancellation of ctx is observed between names
+// and between chunks inside each name's stages; the returned error is
+// wrapped with the stage that observed it, and the partial BatchResult is
+// still returned.
 func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*BatchResult, error) {
 	minRefs := opts.MinRefs
 	if minRefs < 2 {
@@ -157,12 +151,12 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		return nil, stageErr("prefetch", err)
 	}
 
-	sp := e.obs.StartStage("batch")
 	// One "batch" span with one child span per name. Per-name spans are
 	// created from worker goroutines, so their ids and sibling order are
 	// scheduling-dependent; each is uniquely named "name:<shared name>",
-	// which is what the golden trace test sorts on.
-	bsp := e.root().Start("batch", trace.Int("names", int64(len(jobs))))
+	// which is what the golden trace test sorts on. The boundary ran above,
+	// before the global prefetch, so the stage opens without it.
+	st := open(e.obs, e.root(), "batch", trace.Int("names", int64(len(jobs))))
 	// Per-name latency lands in a histogram; the clock reads are guarded so
 	// a disabled registry costs nothing per name.
 	latency := e.obs.Histogram("batch.name_seconds", nil)
@@ -175,7 +169,7 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 
 	batchErr := parallelForCtx(ctx, len(jobs), e.cfg.Workers, func(i int) error {
 		name, refs := jobs[i].name, jobs[i].refs
-		nsp := bsp.Start(trace.NameSpanPrefix+name, trace.Int("refs", int64(len(refs))))
+		nsp := st.tsp.Start(trace.NameSpanPrefix+name, trace.Int("refs", int64(len(refs))))
 		t0 := time.Now()
 		groups, inc, err := e.attemptLadder(ctx, nsp, name, refs, opts)
 		if err != nil {
@@ -202,16 +196,12 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		return nil
 	})
 
-	completed := 0
+	res := &BatchResult{}
 	for _, d := range done {
 		if d {
-			completed++
+			res.NamesExamined++
 		}
 	}
-	sp.End(completed)
-	bsp.End()
-
-	res := &BatchResult{NamesExamined: completed}
 	for i, j := range jobs {
 		if !done[i] {
 			continue
@@ -240,8 +230,9 @@ func (e *Engine) DisambiguateAllCtx(ctx context.Context, opts BatchOptions) (*Ba
 		return res.Split[i].Name < res.Split[j].Name
 	})
 	if batchErr != nil {
-		return res, stageErr("batch", batchErr)
+		return res, st.fail(batchErr)
 	}
+	st.end(res.NamesExamined)
 	return res, nil
 }
 
@@ -274,11 +265,11 @@ type TuneResult struct {
 //
 // maxCases bounds the number of synthetic cases (rare-name pairs); grid is
 // the thresholds to sweep (nil means the package default used by the
-// experiments harness). Train's rarity options and exclusions apply, so
+// experiments harness). TrainCtx's rarity options and exclusions apply, so
 // evaluation names never leak into tuning.
 //
 // Each case is agglomerated once: the merge sequence is recorded as a
-// dendrogram (cluster.AgglomerateDendrogram, one pooled Scratch reused
+// dendrogram (cluster.AgglomerateDendrogramCtx, one pooled Scratch reused
 // across the sweep) and every grid point's partition is derived by a
 // prefix cut, falling back to a direct run only when the cut is not
 // prefix-consistent (cluster.dendrogram_fallbacks counts those). Scores
@@ -319,13 +310,19 @@ func (e *Engine) TuneMinSim(grid []float64, maxCases int, seed int64) (*TuneResu
 		ra := e.RefsForName(a)
 		rb := e.RefsForName(b)
 		refs := append(append([]reldb.TupleID(nil), ra...), rb...)
-		m := e.Similarities(refs)
+		m, err := e.SimilaritiesCtx(context.Background(), refs)
+		if err != nil {
+			return nil, err
+		}
 		// One agglomeration per case: record the dendrogram, then derive
 		// each grid point's partition by a prefix cut (direct rerun only on
 		// a prefix-consistency violation, counted by the cluster package).
-		d := cluster.AgglomerateDendrogram(len(refs), m, cluster.Options{
+		d, err := cluster.AgglomerateDendrogramCtx(context.Background(), len(refs), m, cluster.Options{
 			Measure: e.cfg.Measure, Obs: e.obs, Scratch: scr,
 		})
+		if err != nil {
+			return nil, err
+		}
 		na, nb := len(ra), len(rb)
 		goldPairs := na*(na-1)/2 + nb*(nb-1)/2
 		totalPairs := len(refs) * (len(refs) - 1) / 2
@@ -380,7 +377,8 @@ func (e *Engine) DisambiguateRefsAuto(refs []reldb.TupleID) [][]reldb.TupleID {
 	if len(refs) == 0 {
 		return nil
 	}
-	m := e.Similarities(refs)
+	m, err := e.SimilaritiesCtx(context.Background(), refs)
+	rethrow(err)
 	idx := cluster.AgglomerateAuto(len(refs), m, e.cfg.Measure, cluster.DefaultGapRatio, e.cfg.MinSim)
 	out := make([][]reldb.TupleID, len(idx))
 	for i, c := range idx {
@@ -418,8 +416,11 @@ func (e *Engine) MergeProfile(refs []reldb.TupleID) []MergeStep {
 	if len(refs) < 2 {
 		return nil
 	}
-	m := e.Similarities(refs)
-	d := cluster.AgglomerateDendrogram(len(refs), m, cluster.Options{
+	m, err := e.SimilaritiesCtx(context.Background(), refs)
+	rethrow(err)
+	// A background context neither cancels nor injects faults, so the
+	// clusterer cannot fail.
+	d, _ := cluster.AgglomerateDendrogramCtx(context.Background(), len(refs), m, cluster.Options{
 		Measure: e.cfg.Measure,
 	})
 	steps := make([]MergeStep, len(d.Merges))
@@ -447,7 +448,8 @@ func (e *Engine) NameAffinity(a, b string) float64 {
 	// cost half a million pair computations per candidate).
 	ra, rb = strideSample(ra, affinitySampleCap), strideSample(rb, affinitySampleCap)
 	refs := append(append([]reldb.TupleID(nil), ra...), rb...)
-	m := e.Similarities(refs)
+	m, err := e.SimilaritiesCtx(context.Background(), refs)
+	rethrow(err)
 	na := len(ra)
 	var sumResem, walkAB, walkBA float64
 	for i := 0; i < na; i++ {

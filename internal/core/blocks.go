@@ -56,33 +56,21 @@ func (b blockSet) local(g int32) int {
 	return int(b.loc[g])
 }
 
-// blocks partitions the references into connected components of the
+// blocksCtxAt partitions the references into connected components of the
 // shared-neighbor relation, considering only join paths with a positive
 // resemblance or walk weight. Each block lists indexes into refs, blocks
-// ordered by smallest member, members ascending.
-func (e *Engine) blocks(refs []reldb.TupleID) [][]int {
-	s := e.ext.BatchScratch()
-	defer e.ext.PutBatchScratch(s)
-	out, _, err := e.blocksCtxAt(context.Background(), nil, refs, s)
-	rethrow(err)
-	return out
-}
-
-// blocksCtxAt is blocks with the stage span parented under parent and
-// cancellation observed at the stage boundary and during prefetch. The
-// name's postings are built in s and returned alongside the blocks, for
-// the per-block similarity passes; they live as long as the caller keeps
-// s.
+// ordered by smallest member, members ascending. The stage span is
+// parented under parent, and cancellation is observed at the stage
+// boundary and during prefetch. The name's postings are built in s and
+// returned alongside the blocks, for the per-block similarity passes; they
+// live as long as the caller keeps s.
 func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, s *sim.BatchScratch) ([][]int, *sim.Postings, error) {
-	if err := checkStage(ctx, "blocks"); err != nil {
+	st, err := begin(ctx, e.obs, parent, "blocks", trace.Int("refs", int64(len(refs))))
+	if err != nil {
 		return nil, nil, err
 	}
-	sp := e.obs.StartStage("blocks")
-	tsp := parent.Start("blocks", trace.Int("refs", int64(len(refs))))
-	defer func() { sp.End(len(refs)) }()
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		tsp.End()
-		return nil, nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
+		return nil, nil, st.fail(stageErr("prefetch", err))
 	}
 	post := s.Postings(e.ext.NeighborhoodsAll(refs, nil), e.weighted)
 	out := s.Components(post)
@@ -101,22 +89,15 @@ func (e *Engine) blocksCtxAt(ctx context.Context, parent *trace.Span, refs []rel
 		e.obs.Counter("blocks.pairs_kept").Add(kept)
 		e.obs.Counter("blocks.pairs_pruned").Add(naive - kept)
 	}
-	tsp.SetAttrs(trace.Int("blocks", int64(len(out))))
-	tsp.End()
+	st.end(len(refs), trace.Int("blocks", int64(len(out))))
 	return out, post, nil
 }
 
-// disambiguateBlocked clusters each block independently; exact for
-// MinSim > 0 (see the comment above). Output clusters are ordered by their
-// smallest reference position, matching the unblocked path bit for bit.
-func (e *Engine) disambiguateBlocked(refs []reldb.TupleID) [][]reldb.TupleID {
-	groups, err := e.disambiguateBlockedCtxAt(context.Background(), nil, refs)
-	rethrow(err)
-	return groups
-}
-
-// disambiguateBlockedCtxAt is disambiguateBlocked with stage spans parented
-// under parent and cancellation observed between blocks.
+// disambiguateBlockedCtxAt clusters each block independently, with stage
+// spans parented under parent and cancellation observed between blocks;
+// exact for MinSim > 0 (see the comment above). Output clusters are
+// ordered by their smallest reference position, matching the unblocked
+// path bit for bit.
 func (e *Engine) disambiguateBlockedCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
 	s := e.ext.BatchScratch()
 	defer e.ext.PutBatchScratch(s)

@@ -1,17 +1,31 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"distinct/internal/reldb"
 )
 
+// blocksOf runs the blocks stage under a background context with a pooled
+// scratch, failing the test on error.
+func blocksOf(t testing.TB, e *Engine, refs []reldb.TupleID) [][]int {
+	t.Helper()
+	s := e.ext.BatchScratch()
+	defer e.ext.PutBatchScratch(s)
+	out, _, err := e.blocksCtxAt(context.Background(), nil, refs, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestBlocksPartition(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")
-	blocks := e.blocks(refs)
+	blocks := blocksOf(t, e, refs)
 	seen := make(map[int]bool)
 	for _, b := range blocks {
 		if len(b) == 0 {
@@ -29,7 +43,7 @@ func TestBlocksPartition(t *testing.T) {
 	}
 	// Cross-block pairs really have zero similarity under current weights.
 	if len(blocks) > 1 {
-		m := e.Similarities(refs)
+		m := mustSimilarities(t, e, refs)
 		blockOf := make([]int, len(refs))
 		for bi, b := range blocks {
 			for _, x := range b {
@@ -53,15 +67,18 @@ func TestBlocksPartition(t *testing.T) {
 func TestBlockedMatchesUnblocked(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range w.AmbiguousNames() {
 		refs := e.RefsForName(name)
 		for _, minSim := range []float64{0.001, 0.005, 0.05} {
 			e.SetMinSim(minSim)
-			blocked := e.disambiguateBlocked(refs)
-			plain := ClusterMatrix(refs, e.Similarities(refs), e.cfg.Measure, minSim)
+			blocked, err := e.disambiguateBlockedCtxAt(context.Background(), nil, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := ClusterMatrix(refs, mustSimilarities(t, e, refs), e.cfg.Measure, minSim)
 			if !reflect.DeepEqual(blocked, plain) {
 				t.Fatalf("%s at min-sim %v: blocked %v != plain %v", name, minSim, blocked, plain)
 			}
@@ -74,7 +91,7 @@ func TestBlocksIgnoreZeroWeightPaths(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")
-	before := len(e.blocks(refs))
+	before := len(blocksOf(t, e, refs))
 	// Zero out every weight except the first path's: components can only
 	// grow coarser or stay equal in count.
 	n := len(e.Paths())
@@ -83,7 +100,7 @@ func TestBlocksIgnoreZeroWeightPaths(t *testing.T) {
 	if err := e.SetWeights(wv, wv); err != nil {
 		t.Fatal(err)
 	}
-	after := len(e.blocks(refs))
+	after := len(blocksOf(t, e, refs))
 	if after < before {
 		t.Errorf("restricting paths reduced block count: %d -> %d", before, after)
 	}
@@ -93,13 +110,12 @@ func TestBlocksSingleRef(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")[:1]
-	blocks := e.blocks(refs)
+	blocks := blocksOf(t, e, refs)
 	if len(blocks) != 1 || len(blocks[0]) != 1 {
 		t.Errorf("blocks = %v", blocks)
 	}
-	groups := e.DisambiguateRefs(refs)
+	groups := mustDisambiguateRefs(t, e, refs)
 	if len(groups) != 1 || groups[0][0] != refs[0] {
 		t.Errorf("groups = %v", groups)
 	}
-	_ = reldb.InvalidTuple
 }

@@ -164,16 +164,12 @@ func (e *Engine) root() *trace.Span { return e.tr.Root() }
 // set in Config at that point.
 func (e *Engine) SetTrace(tr *trace.Trace) { e.tr = tr }
 
-// NewEngine expands the database, enumerates join paths, and installs
-// uniform path weights (call Train to replace them with learned weights).
-// The input database is not modified.
-func NewEngine(db *reldb.Database, cfg Config) (*Engine, error) {
-	return NewEngineCtx(context.Background(), db, cfg)
-}
-
-// NewEngineCtx is NewEngine under a context: the expand and enumerate
-// stages observe cancellation at their boundaries and return the context's
-// error wrapped with the stage name.
+// NewEngineCtx expands the database, enumerates join paths, compiles their
+// propagation plans, and installs uniform path weights (call TrainCtx to
+// replace them with learned weights). The input database is not modified.
+// The expand, enumerate and compile_plans stages observe cancellation at
+// their boundaries and return the context's error wrapped with the stage
+// name.
 func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	rs := db.Schema.Relation(cfg.RefRelation)
@@ -188,36 +184,29 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 		return nil, fmt.Errorf("core: reference attribute %s.%s must be a foreign key to the name relation", cfg.RefRelation, cfg.RefAttr)
 	}
 
-	if err := checkStage(ctx, "expand"); err != nil {
+	st, err := begin(ctx, cfg.Obs, cfg.Trace.Root(), "expand")
+	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	sp := cfg.Obs.StartStage("expand")
-	tsp := cfg.Trace.Start("expand")
 	ex, idMap, err := reldb.ExpandAttributes(db, cfg.SkipExpand...)
 	if err != nil {
-		return nil, fmt.Errorf("core: attribute expansion: %w", err)
+		return nil, st.fail(fmt.Errorf("attribute expansion: %w", err))
 	}
-	sp.End(ex.NumTuples())
-	tsp.SetAttrs(trace.Int("tuples", int64(ex.NumTuples())))
-	tsp.End()
+	st.end(ex.NumTuples(), trace.Int("tuples", int64(ex.NumTuples())))
 	expandDur := time.Since(t0)
 
-	if err := checkStage(ctx, "enumerate"); err != nil {
+	if st, err = begin(ctx, cfg.Obs, cfg.Trace.Root(), "enumerate"); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	sp = cfg.Obs.StartStage("enumerate")
-	tsp = cfg.Trace.Start("enumerate")
 	paths := reldb.EnumerateJoinPaths(ex.Schema, cfg.RefRelation, reldb.EnumerateOptions{
 		MaxLen: cfg.MaxPathLen,
 		ExcludeFirst: []reldb.Step{
 			{Rel: cfg.RefRelation, Attr: cfg.RefAttr, Forward: true},
 		},
 	})
-	sp.End(len(paths))
-	tsp.SetAttrs(trace.Int("paths", int64(len(paths))))
-	tsp.End()
+	st.end(len(paths), trace.Int("paths", int64(len(paths))))
 	enumDur := time.Since(t0)
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("core: no join paths from %s within length %d", cfg.RefRelation, cfg.MaxPathLen)
@@ -242,19 +231,19 @@ func NewEngineCtx(ctx context.Context, db *reldb.Database, cfg Config) (*Engine,
 	// in engine construction (and its own stage span) instead of inflating
 	// the first propagation. Distinct hops compile in parallel under
 	// Config.Workers; the plan is shared read-only by all workers.
+	if st, err = begin(ctx, cfg.Obs, cfg.Trace.Root(), "compile_plans"); err != nil {
+		return nil, err
+	}
 	t0 = time.Now()
-	sp = cfg.Obs.StartStage("compile_plans")
-	tsp = cfg.Trace.Start("compile_plans")
 	before := ex.HopCompiles()
 	hops, edges, _ := e.ext.CompilePlansCtx(ctx)
-	sp.End(hops)
-	tsp.SetAttrs(trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges)))
+	attrs := []trace.Attr{trace.Int("hops", int64(hops)), trace.Int("edges", int64(edges))}
 	if ex.HopCompiles() == before {
 		// Every hop plan came out of the database's shared cache — an engine
 		// opened over an already-warm database compiles nothing.
-		tsp.SetAttrs(trace.Bool("reused", true))
+		attrs = append(attrs, trace.Bool("reused", true))
 	}
-	tsp.End()
+	st.end(hops, attrs...)
 	e.timings.CompilePlans = time.Since(t0)
 	e.obs.Counter("prop.csr_hops").Add(int64(hops))
 	e.obs.Counter("prop.csr_edges").Add(int64(edges))
@@ -367,53 +356,42 @@ func normalize(w []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Train builds the automatic training set, learns SVM models for both
+// TrainCtx builds the automatic training set, learns SVM models for both
 // similarity measures, and installs the learned path weights. If the
-// engine's configuration is unsupervised, Train still reports the would-be
-// models but leaves uniform weights in place.
-func (e *Engine) Train() (*TrainReport, error) {
-	return e.TrainCtx(context.Background())
-}
-
-// TrainCtx is Train under a context: cancellation is observed at the
-// trainset / features / train_svm stage boundaries, between feature
+// engine's configuration is unsupervised, it still reports the would-be
+// models but leaves uniform weights in place. Cancellation is observed at
+// the trainset / features / train_svm stage boundaries, between feature
 // extraction items, and between SVM optimisation passes, and returns the
 // context's error wrapped with the stage name.
 func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	total := time.Now()
-	if err := checkStage(ctx, "trainset"); err != nil {
+	st, err := begin(ctx, e.obs, e.root(), "trainset")
+	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	sp := e.obs.StartStage("trainset")
-	tsp := e.root().Start("trainset")
 	ts, err := trainset.Build(e.db, e.cfg.RefRelation, e.cfg.RefAttr, e.cfg.Train)
 	if err != nil {
-		return nil, fmt.Errorf("core: training set: %w", err)
+		return nil, st.fail(fmt.Errorf("training set: %w", err))
 	}
-	sp.End(len(ts.Pairs))
-	tsp.SetAttrs(
+	st.end(len(ts.Pairs),
 		trace.Int("pairs", int64(len(ts.Pairs))),
 		trace.Int("positive", int64(ts.NumPositive)),
 		trace.Int("negative", int64(ts.NumNegative)))
-	tsp.End()
 	e.obs.Counter("trainset.positive").Add(int64(ts.NumPositive))
 	e.obs.Counter("trainset.negative").Add(int64(ts.NumNegative))
 	e.timings.TrainSet = time.Since(t0)
 
-	if err := checkStage(ctx, "features"); err != nil {
+	if st, err = begin(ctx, e.obs, e.root(), "features", trace.Int("pairs", int64(len(ts.Pairs)))); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	sp = e.obs.StartStage("features")
-	tsp = e.root().Start("features", trace.Int("pairs", int64(len(ts.Pairs))))
 	refs := make([]reldb.TupleID, 0, 2*len(ts.Pairs))
 	for _, p := range ts.Pairs {
 		refs = append(refs, p.R1, p.R2)
 	}
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		tsp.End()
-		return nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
+		return nil, st.fail(stageErr("prefetch", err))
 	}
 	resemEx := make([]svm.Example, len(ts.Pairs))
 	walkEx := make([]svm.Example, len(ts.Pairs))
@@ -424,47 +402,38 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 		return nil
 	})
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("features", err)
+		return nil, st.fail(err)
 	}
-	sp.End(len(ts.Pairs))
-	tsp.End()
+	st.end(len(ts.Pairs))
 	e.timings.Features = time.Since(t0)
 
 	// Per-path similarities span orders of magnitude; scale each feature to
 	// [0,1] for training, then fold the scale factors back into the weights
 	// so they apply to raw similarities at clustering time.
-	if err := checkStage(ctx, "train_svm"); err != nil {
+	if st, err = begin(ctx, e.obs, e.root(), "train_svm", trace.Int("paths", int64(len(e.paths)))); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	sp = e.obs.StartStage("train_svm")
-	tsp = e.root().Start("train_svm", trace.Int("paths", int64(len(e.paths))))
 	resemScaler := svm.FitScaler(resemEx)
 	walkScaler := svm.FitScaler(walkEx)
 	resemScaled := resemScaler.Transform(resemEx)
 	walkScaled := walkScaler.Transform(walkEx)
 	resemModel, err := svm.TrainDCDCtx(ctx, resemScaled, e.cfg.SVM)
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("resemblance SVM: %w", err))
+		return nil, st.fail(fmt.Errorf("resemblance SVM: %w", err))
 	}
 	walkModel, err := svm.TrainDCDCtx(ctx, walkScaled, e.cfg.SVM)
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("walk SVM: %w", err))
+		return nil, st.fail(fmt.Errorf("walk SVM: %w", err))
 	}
 	resemW, err := normalize(resemScaler.FoldWeights(resemModel.PositiveWeights()))
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("resemblance weights: %w", err))
+		return nil, st.fail(fmt.Errorf("resemblance weights: %w", err))
 	}
 	walkW, err := normalize(walkScaler.FoldWeights(walkModel.PositiveWeights()))
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("train_svm", fmt.Errorf("walk weights: %w", err))
+		return nil, st.fail(fmt.Errorf("walk weights: %w", err))
 	}
-	sp.End(2 * len(ts.Pairs))
 	e.timings.TrainSVM = time.Since(t0)
 	e.timings.TotalTrain = time.Since(total)
 
@@ -481,21 +450,20 @@ func (e *Engine) TrainCtx(ctx context.Context) (*TrainReport, error) {
 	}
 	e.obs.Gauge("svm.resem_accuracy").Set(rep.ResemAccuracy)
 	e.obs.Gauge("svm.walk_accuracy").Set(rep.WalkAccuracy)
-	if tsp != nil {
+	if st.tsp != nil {
 		// One event per learned path weight; the run report renders these
 		// as the join-path weight table.
 		for p := range e.paths {
-			tsp.Event("path_weight",
+			st.tsp.Event("path_weight",
 				trace.String("path", e.paths[p].String()),
 				trace.Float("resem_w", rep.ResemWeights[p]),
 				trace.Float("walk_w", rep.WalkWeights[p]))
 		}
-		tsp.SetAttrs(
-			trace.Float("resem_accuracy", rep.ResemAccuracy),
-			trace.Float("walk_accuracy", rep.WalkAccuracy),
-			trace.Bool("supervised", e.cfg.Supervised))
 	}
-	tsp.End()
+	st.end(2*len(ts.Pairs),
+		trace.Float("resem_accuracy", rep.ResemAccuracy),
+		trace.Float("walk_accuracy", rep.WalkAccuracy),
+		trace.Bool("supervised", e.cfg.Supervised))
 	if e.cfg.Supervised {
 		e.resemW = rep.ResemWeights
 		e.walkW = rep.WalkWeights
@@ -556,20 +524,13 @@ func (pm *PathMatrices) NumRefs() int {
 	return len(pm.R[0])
 }
 
-// PathSimilarities computes the per-path similarity matrices among refs.
-// Neighborhoods are prefetched and the pairwise rows computed in parallel
-// under Config.Workers. Each row walks the posting lists of its
+// PathSimilaritiesCtx computes the per-path similarity matrices among
+// refs. Neighborhoods are prefetched and the pairwise rows computed in
+// parallel under Config.Workers. Each row walks the posting lists of its
 // reference's neighbor tuples (see sim.Postings), yielding for every pair
 // that shares a tuple on a path its resemblance and both directed walk
-// probabilities at once.
-func (e *Engine) PathSimilarities(refs []reldb.TupleID) *PathMatrices {
-	pm, err := e.pathSimilaritiesCtxAt(context.Background(), e.root(), refs)
-	rethrow(err)
-	return pm
-}
-
-// PathSimilaritiesCtx is PathSimilarities under a context: cancellation is
-// observed at the stage boundary and between pairwise rows.
+// probabilities at once. Cancellation is observed at the stage boundary and
+// between pairwise rows.
 func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
 	return e.pathSimilaritiesCtxAt(ctx, e.root(), refs)
 }
@@ -582,33 +543,28 @@ func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) 
 // — once, carrying reused=true — so sweeps show the reuse instead of
 // logging identical heavyweight spans per variant.
 func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) (*PathMatrices, error) {
-	if err := checkStage(ctx, "path_sims"); err != nil {
-		return nil, err
-	}
 	n := len(refs)
 	np := len(e.paths)
 	pairs := n * (n - 1) / 2
-	sp := e.obs.StartStage("path_sims")
-	tsp := parent.Start("path_sims",
+	st, err := begin(ctx, e.obs, parent, "path_sims",
 		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
+	if err != nil {
+		return nil, err
+	}
 	version := e.db.Version()
 	var key string
 	if e.matCache != nil {
 		key = matKey(refs, np)
 		if pm, state := e.matCache.Get(key, version, 0); state == vcache.Fresh {
 			e.obs.Counter("core.matrix_cache_hits").Inc()
-			tsp.SetAttrs(trace.Bool("reused", true))
-			sp.End(0) // no pairwise work done
-			tsp.End()
+			st.end(0, trace.Bool("reused", true)) // no pairwise work done
 			return pm, nil
 		}
 		e.obs.Counter("core.matrix_cache_misses").Inc()
 	}
 	pm := NewPathMatrices(np, n)
-	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-		sp.End(0)
-		tsp.End()
-		return nil, stageErr("prefetch", err)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
+		return nil, st.fail(stageErr("prefetch", err))
 	}
 	s := e.ext.BatchScratch()
 	defer e.ext.PutBatchScratch(s)
@@ -619,7 +575,7 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 	// path, the row walks the posting lists of i's neighbor tuples
 	// (sim.BatchScratch.Row), bit-identical to per-pair PairKernel calls;
 	// pairs sharing no tuple on the path keep their zero cells.
-	err := parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+	err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
 		ws := e.ext.BatchScratch()
 		defer e.ext.PutBatchScratch(ws)
 		for slot, p := range post.Paths() {
@@ -636,17 +592,14 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 		return nil
 	})
 	if err != nil {
-		sp.End(0)
-		tsp.End()
-		return nil, stageErr("path_sims", err)
+		return nil, st.fail(err)
 	}
 	if e.matCache != nil {
 		if ev := e.matCache.Put(key, version, pm, matBytes(pm)); ev > 0 {
 			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
 		}
 	}
-	sp.End(pairs)
-	tsp.End()
+	st.end(pairs)
 	return pm, nil
 }
 
@@ -682,20 +635,18 @@ func Combine(pm *PathMatrices, resemW, walkW []float64) cluster.Matrix {
 	return m
 }
 
-// Similarities computes the pairwise combined similarities among refs under
-// the engine's current weights: R[i][j] is the weighted set resemblance,
-// W[i][j] the weighted directed walk probability from i to j.
-func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
-	m, err := e.similaritiesCtxAt(context.Background(), e.root(), refs, blockSet{})
-	rethrow(err)
-	return m
+// SimilaritiesCtx computes the pairwise combined similarities among refs
+// under the engine's current weights: R[i][j] is the weighted set
+// resemblance, W[i][j] the weighted directed walk probability from i to j.
+// Cancellation is observed at the stage boundary and between pairwise rows.
+func (e *Engine) SimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (cluster.Matrix, error) {
+	return e.similaritiesCtxAt(ctx, e.root(), refs, blockSet{})
 }
 
-// similaritiesCtxAt is Similarities with the stage span parented under
-// parent and cancellation observed between pairwise rows. When the trace
-// was built with SamplePairEvery, every Nth pair (by triangular pair index
-// — deterministic, no RNG) gets a "pair" event with its Explain-style
-// per-path breakdown attached to the stage span.
+// similaritiesCtxAt is SimilaritiesCtx with the stage span parented under
+// parent. When the trace was built with SamplePairEvery, every Nth pair (by
+// triangular pair index — deterministic, no RNG) gets a "pair" event with
+// its Explain-style per-path breakdown attached to the stage span.
 //
 // When refs is one block of a name, set carries the name's postings from
 // the blocks stage (see blocks.go) and the rows read them through its
@@ -705,26 +656,24 @@ func (e *Engine) Similarities(refs []reldb.TupleID) cluster.Matrix {
 // (or freshly cached) per-path matrices via Combine — the same floats,
 // since both accumulate per-path contributions in ascending path order.
 func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, set blockSet) (cluster.Matrix, error) {
-	if err := checkStage(ctx, "similarities"); err != nil {
+	n := len(refs)
+	st, err := begin(ctx, e.obs, parent, "similarities",
+		trace.Int("refs", int64(n)), trace.Int("pairs", int64(n*(n-1)/2)))
+	if err != nil {
 		return cluster.Matrix{}, err
 	}
-	n := len(refs)
-	sp := e.obs.StartStage("similarities")
-	tsp := parent.Start("similarities",
-		trace.Int("refs", int64(n)), trace.Int("pairs", int64(n*(n-1)/2)))
-	defer func() { sp.End(n * (n - 1) / 2); tsp.End() }()
 
 	var m cluster.Matrix
 	if e.matCache != nil {
-		pm, err := e.pathSimilaritiesCtxAt(ctx, tsp, refs)
+		pm, err := e.pathSimilaritiesCtxAt(ctx, st.tsp, refs)
 		if err != nil {
-			return cluster.Matrix{}, err
+			return cluster.Matrix{}, st.fail(err)
 		}
 		m = Combine(pm, e.resemW, e.walkW)
 	} else {
 		m = cluster.NewMatrix(n)
-		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, tsp); err != nil {
-			return cluster.Matrix{}, stageErr("prefetch", err)
+		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
+			return cluster.Matrix{}, st.fail(stageErr("prefetch", err))
 		}
 		// A block reads its name's postings and needs no neighborhoods, but
 		// the lookup stays so sim.cache_hits counts every stage alike.
@@ -770,14 +719,15 @@ func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs
 			return nil
 		})
 		if err != nil {
-			return cluster.Matrix{}, stageErr("similarities", err)
+			return cluster.Matrix{}, st.fail(err)
 		}
 	}
-	if tsp != nil {
+	if st.tsp != nil {
 		if every := e.tr.SamplePairEvery(); every > 0 {
-			e.samplePairs(tsp, refs, m, every)
+			e.samplePairs(st.tsp, refs, m, every)
 		}
 	}
+	st.end(n * (n - 1) / 2)
 	return m, nil
 }
 
@@ -833,37 +783,29 @@ func (e *Engine) samplePairs(tsp *trace.Span, refs []reldb.TupleID, m cluster.Ma
 // ClusterMatrix clusters n references given a precombined similarity matrix
 // under the supplied measure and threshold; refs[i] corresponds to row i.
 func ClusterMatrix(refs []reldb.TupleID, m cluster.Matrix, measure cluster.Measure, minSim float64) [][]reldb.TupleID {
-	idx := cluster.Agglomerate(len(refs), m, cluster.Options{Measure: measure, MinSim: minSim})
+	// A background context neither cancels nor injects faults, so the
+	// clusterer cannot fail.
+	idx, _ := cluster.AgglomerateCtx(context.Background(), len(refs), m, cluster.Options{Measure: measure, MinSim: minSim})
 	return groupRefs(refs, idx)
 }
 
-// clusterRefs is ClusterMatrix under the engine's own measure, threshold,
-// and observability registry, wrapped in a "cluster" stage span.
-func (e *Engine) clusterRefs(refs []reldb.TupleID, m cluster.Matrix) [][]reldb.TupleID {
-	groups, err := e.clusterRefsCtxAt(context.Background(), e.root(), refs, m)
-	rethrow(err)
-	return groups
-}
-
-// clusterRefsCtxAt is clusterRefs with the stage span parented under parent
-// and cancellation observed between merge iterations; the clusterer
-// receives the span and emits its merge and cut events there.
+// clusterRefsCtxAt is ClusterMatrix under the engine's own measure,
+// threshold and observability registry, wrapped in a "cluster" stage span
+// parented under parent, with cancellation observed between merge
+// iterations; the clusterer receives the span and emits its merge and cut
+// events there.
 func (e *Engine) clusterRefsCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, m cluster.Matrix) ([][]reldb.TupleID, error) {
-	if err := checkStage(ctx, "cluster"); err != nil {
+	st, err := begin(ctx, e.obs, parent, "cluster", trace.Int("refs", int64(len(refs))))
+	if err != nil {
 		return nil, err
 	}
-	sp := e.obs.StartStage("cluster")
-	tsp := parent.Start("cluster", trace.Int("refs", int64(len(refs))))
 	idx, err := cluster.AgglomerateCtx(ctx, len(refs), m, cluster.Options{
-		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Obs: e.obs, Span: tsp,
+		Measure: e.cfg.Measure, MinSim: e.cfg.MinSim, Obs: e.obs, Span: st.tsp,
 	})
 	if err != nil {
-		tsp.End()
-		return nil, stageErr("cluster", err)
+		return nil, st.fail(err)
 	}
-	sp.End(len(refs))
-	tsp.SetAttrs(trace.Int("clusters", int64(len(idx))))
-	tsp.End()
+	st.end(len(refs), trace.Int("clusters", int64(len(idx))))
 	return groupRefs(refs, idx), nil
 }
 
@@ -879,17 +821,10 @@ func groupRefs(refs []reldb.TupleID, idx [][]int) [][]reldb.TupleID {
 	return out
 }
 
-// DisambiguateRefs clusters the given references (expanded-database IDs)
+// DisambiguateRefsCtx clusters the given references (expanded-database IDs)
 // and returns groups of reference IDs, one group per inferred real object.
-func (e *Engine) DisambiguateRefs(refs []reldb.TupleID) [][]reldb.TupleID {
-	groups, err := e.disambiguateRefsCtxAt(context.Background(), e.root(), refs)
-	rethrow(err)
-	return groups
-}
-
-// DisambiguateRefsCtx is DisambiguateRefs under a context: cancellation
-// (and any injected fault) surfaces as an error wrapped with the stage
-// that observed it.
+// Cancellation (and any injected fault) surfaces as an error wrapped with
+// the stage that observed it.
 func (e *Engine) DisambiguateRefsCtx(ctx context.Context, refs []reldb.TupleID) ([][]reldb.TupleID, error) {
 	return e.disambiguateRefsCtxAt(ctx, e.root(), refs)
 }
@@ -914,12 +849,7 @@ func (e *Engine) disambiguateRefsCtxAt(ctx context.Context, parent *trace.Span, 
 	return e.clusterRefsCtxAt(ctx, parent, refs, m)
 }
 
-// DisambiguateName clusters every reference carrying the name.
-func (e *Engine) DisambiguateName(name string) ([][]reldb.TupleID, error) {
-	return e.DisambiguateNameCtx(context.Background(), name)
-}
-
-// DisambiguateNameCtx is DisambiguateName under a context.
+// DisambiguateNameCtx clusters every reference carrying the name.
 func (e *Engine) DisambiguateNameCtx(ctx context.Context, name string) ([][]reldb.TupleID, error) {
 	refs := e.RefsForName(name)
 	if len(refs) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,22 +51,55 @@ func engineConfig(w *dblp.World, supervised bool) Config {
 
 func newTestEngine(t testing.TB, w *dblp.World, supervised bool) *Engine {
 	t.Helper()
-	e, err := NewEngine(w.DB, engineConfig(w, supervised))
+	e, err := NewEngineCtx(context.Background(), w.DB, engineConfig(w, supervised))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
+// mustSimilarities is SimilaritiesCtx under a background context, failing
+// the test on error.
+func mustSimilarities(t testing.TB, e *Engine, refs []reldb.TupleID) cluster.Matrix {
+	t.Helper()
+	m, err := e.SimilaritiesCtx(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// mustPathSimilarities is PathSimilaritiesCtx under a background context,
+// failing the test on error.
+func mustPathSimilarities(t testing.TB, e *Engine, refs []reldb.TupleID) *PathMatrices {
+	t.Helper()
+	pm, err := e.PathSimilaritiesCtx(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pm
+}
+
+// mustDisambiguateRefs is DisambiguateRefsCtx under a background context,
+// failing the test on error.
+func mustDisambiguateRefs(t testing.TB, e *Engine, refs []reldb.TupleID) [][]reldb.TupleID {
+	t.Helper()
+	groups, err := e.DisambiguateRefsCtx(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	w := testWorld(t)
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Nope", RefAttr: "author"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Nope", RefAttr: "author"}); err == nil {
 		t.Error("unknown relation accepted")
 	}
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Publish", RefAttr: "nope"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Publish", RefAttr: "nope"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := NewEngine(w.DB, Config{RefRelation: "Publications", RefAttr: "title"}); err == nil {
+	if _, err := NewEngineCtx(context.Background(), w.DB, Config{RefRelation: "Publications", RefAttr: "title"}); err == nil {
 		t.Error("non-FK reference attribute accepted")
 	}
 }
@@ -149,7 +183,7 @@ func TestSetWeights(t *testing.T) {
 func TestTrainProducesUsefulModel(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	rep, err := e.Train()
+	rep, err := e.TrainCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +224,7 @@ func TestUnsupervisedTrainKeepsUniform(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	before, _ := e.Weights()
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Weights()
@@ -204,11 +238,11 @@ func TestUnsupervisedTrainKeepsUniform(t *testing.T) {
 func TestDisambiguateRecoversIdentities(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range w.AmbiguousNames() {
-		pred, err := e.DisambiguateName(name)
+		pred, err := e.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,14 +265,14 @@ func TestDisambiguateRecoversIdentities(t *testing.T) {
 func TestDisambiguateEdgeCases(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
-	if _, err := e.DisambiguateName("No Such Person"); err == nil {
+	if _, err := e.DisambiguateNameCtx(context.Background(), "No Such Person"); err == nil {
 		t.Error("unknown name accepted")
 	}
-	if got := e.DisambiguateRefs(nil); got != nil {
+	if got := mustDisambiguateRefs(t, e, nil); got != nil {
 		t.Errorf("empty refs gave %v", got)
 	}
 	refs := e.RefsForName("Wei Wang")[:1]
-	got := e.DisambiguateRefs(refs)
+	got := mustDisambiguateRefs(t, e, refs)
 	if len(got) != 1 || len(got[0]) != 1 {
 		t.Errorf("single ref clustering = %v", got)
 	}
@@ -248,7 +282,7 @@ func TestSimilaritiesSymmetryAndRange(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")[:10]
-	m := e.Similarities(refs)
+	m := mustSimilarities(t, e, refs)
 	for i := range refs {
 		for j := range refs {
 			if m.R[i][j] != m.R[j][i] {
@@ -271,7 +305,7 @@ func TestSignalSeparation(t *testing.T) {
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")
 	orig := w.Refs("Wei Wang")
-	m := e.Similarities(refs)
+	m := mustSimilarities(t, e, refs)
 	var sameSum, diffSum float64
 	var sameN, diffN int
 	for i := range refs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,11 +10,11 @@ import (
 func TestExplainMatchesSimilarities(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	refs := e.RefsForName("Wei Wang")
-	m := e.Similarities(refs[:6])
+	m := mustSimilarities(t, e, refs[:6])
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			ex := e.Explain(refs[i], refs[j])

@@ -114,14 +114,14 @@ func (e *Engine) attemptLadder(ctx context.Context, nsp *trace.Span, name string
 	}
 }
 
-// DisambiguateNameGuarded is the serving-path entry point: DisambiguateName
-// under the full per-name resilience ladder. Unlike DisambiguateNameCtx —
-// which surfaces panics and budget blowouts as errors — a guarded lookup
-// always produces groups unless the parent ctx itself ended: a blown
-// NameTimeout degrades (top-k paths) and then falls back to one conservative
-// group, a panic is isolated into an incident, and the returned Incident
-// (nil on the clean path, Elapsed stamped) tells the caller exactly what
-// happened so it can be reported to the requester.
+// DisambiguateNameGuarded is the serving-path entry point:
+// DisambiguateNameCtx under the full per-name resilience ladder. Unlike the
+// plain form — which surfaces panics and budget blowouts as errors — a
+// guarded lookup always produces groups unless the parent ctx itself
+// ended: a blown NameTimeout degrades (top-k paths) and then falls back to
+// one conservative group, a panic is isolated into an incident, and the
+// returned Incident (nil on the clean path, Elapsed stamped) tells the
+// caller exactly what happened so it can be reported to the requester.
 func (e *Engine) DisambiguateNameGuarded(ctx context.Context, name string, opts BatchOptions) ([][]reldb.TupleID, *Incident, error) {
 	return e.DisambiguateNameGuardedAt(ctx, nil, name, opts)
 }

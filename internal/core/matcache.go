@@ -47,8 +47,8 @@ func matBytes(pm *PathMatrices) int64 {
 }
 
 // EnableMatrixReuse turns on the per-block PathMatrices cache (maxBytes 0
-// means DefaultMatrixCacheBytes). With the cache on, PathSimilarities and
-// Similarities reuse matrices computed for the same (refs, database
+// means DefaultMatrixCacheBytes). With the cache on, PathSimilaritiesCtx
+// and SimilaritiesCtx reuse matrices computed for the same (refs, database
 // version) — across min-sim grid points, SetMinSim re-evaluations, and
 // weight ablations — and their path_sims stage span carries reused=true on
 // a hit. Enable before sharing the engine between goroutines; the cache

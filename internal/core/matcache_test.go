@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestMatrixCacheUnit(t *testing.T) {
 	}
 }
 
-// TestEngineMatrixReuse: with reuse enabled, the second PathSimilarities of
+// TestEngineMatrixReuse: with reuse enabled, the second PathSimilaritiesCtx of
 // the same block returns the identical matrices, the hit/miss counters move
 // accordingly, and the path_sims stage span of the reused pass carries
 // reused=true (one span, not a duplicate heavyweight one). An insert into
@@ -47,7 +48,7 @@ func TestEngineMatrixReuse(t *testing.T) {
 	w := testWorld(t)
 	reg := obs.NewRegistry()
 	tr := trace.New(trace.Options{})
-	e, err := NewEngine(w.DB, func() Config {
+	e, err := NewEngineCtx(context.Background(), w.DB, func() Config {
 		c := engineConfig(w, false)
 		c.Obs = reg
 		c.Trace = tr
@@ -59,11 +60,11 @@ func TestEngineMatrixReuse(t *testing.T) {
 	e.EnableMatrixReuse(0)
 	refs := e.RefsForName("Wei Wang")[:10]
 
-	pm1 := e.PathSimilarities(refs)
+	pm1 := mustPathSimilarities(t, e, refs)
 	if got := e.MatrixCacheLen(); got != 1 {
 		t.Fatalf("MatrixCacheLen after first compute = %d, want 1", got)
 	}
-	pm2 := e.PathSimilarities(refs)
+	pm2 := mustPathSimilarities(t, e, refs)
 	if pm1 != pm2 {
 		t.Fatal("second PathSimilarities recomputed instead of reusing the cached block")
 	}
@@ -102,10 +103,10 @@ func TestEngineMatrixReuse(t *testing.T) {
 	}
 
 	// Combine of the cached block under current weights must equal the
-	// engine's own Similarities (which routes through the cache too).
+	// engine's own SimilaritiesCtx (which routes through the cache too).
 	resemW, walkW := e.Weights()
 	m := Combine(pm2, resemW, walkW)
-	want := e.Similarities(refs)
+	want := mustSimilarities(t, e, refs)
 	for i := range refs {
 		for j := range refs {
 			if m.R[i][j] != want.R[i][j] || m.W[i][j] != want.W[i][j] {
@@ -117,7 +118,7 @@ func TestEngineMatrixReuse(t *testing.T) {
 	// Mutating the database bumps its version: the old entry can never be
 	// served again.
 	insertAnyTuple(t, e.db)
-	pm3 := e.PathSimilarities(refs)
+	pm3 := mustPathSimilarities(t, e, refs)
 	if pm3 == pm1 {
 		t.Fatal("PathSimilarities served a stale block after an insert")
 	}

@@ -10,7 +10,7 @@ import (
 
 // Model is a portable snapshot of a trained engine: the join paths (by
 // canonical string form) with their learned weights, plus the clustering
-// configuration. Train once, save, and load into any engine whose schema
+// configuration. Train once (TrainCtx), save, and load into any engine whose schema
 // enumerates the same join paths — e.g. tomorrow's refresh of the same
 // database.
 type Model struct {

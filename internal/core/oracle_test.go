@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -18,7 +19,7 @@ import (
 // ascending path order. The posting kernel promises the same floats, so
 // the tests compare bits, not tolerances.
 
-// oraclePathSimilarities is PathSimilarities computed pair by pair.
+// oraclePathSimilarities is PathSimilaritiesCtx computed pair by pair.
 func oraclePathSimilarities(e *Engine, refs []reldb.TupleID) *PathMatrices {
 	n := len(refs)
 	pm := NewPathMatrices(len(e.paths), n)
@@ -35,7 +36,7 @@ func oraclePathSimilarities(e *Engine, refs []reldb.TupleID) *PathMatrices {
 	return pm
 }
 
-// oracleSimilarities is Similarities computed pair by pair.
+// oracleSimilarities is SimilaritiesCtx computed pair by pair.
 func oracleSimilarities(e *Engine, refs []reldb.TupleID) cluster.Matrix {
 	n := len(refs)
 	m := cluster.NewMatrix(n)
@@ -67,8 +68,8 @@ func sameBits(t *testing.T, what string, got, want [][]float64) {
 }
 
 // TestPostingKernelMatchesPairOracle checks the production pipeline end to
-// end against the per-pair oracle on the core test world: Similarities and
-// PathSimilarities bit for bit on every ambiguous name, and DisambiguateAll
+// end against the per-pair oracle on the core test world: SimilaritiesCtx and
+// PathSimilaritiesCtx bit for bit on every ambiguous name, and DisambiguateAllCtx
 // group for group on every name with two or more references (the oracle
 // clusters each name's whole matrix, unblocked). It runs under learned
 // weights — some paths weightless, so blocking and the path filter matter —
@@ -79,25 +80,25 @@ func TestPostingKernelMatchesPairOracle(t *testing.T) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			cfg := engineConfig(w, supervised)
 			cfg.Workers = workers
-			e, err := NewEngine(w.DB, cfg)
+			e, err := NewEngineCtx(context.Background(), w.DB, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Train(); err != nil {
+			if _, err := e.TrainCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			for _, name := range w.AmbiguousNames() {
 				refs := e.RefsForName(name)
-				got, want := e.Similarities(refs), oracleSimilarities(e, refs)
+				got, want := mustSimilarities(t, e, refs), oracleSimilarities(e, refs)
 				sameBits(t, name+" R", got.R, want.R)
 				sameBits(t, name+" W", got.W, want.W)
-				pm, opm := e.PathSimilarities(refs), oraclePathSimilarities(e, refs)
+				pm, opm := mustPathSimilarities(t, e, refs), oraclePathSimilarities(e, refs)
 				for p := range e.paths {
 					sameBits(t, name+" path R", pm.R[p], opm.R[p])
 					sameBits(t, name+" path W", pm.W[p], opm.W[p])
 				}
 			}
-			res, err := e.DisambiguateAll(2)
+			res, err := e.DisambiguateAllCtx(context.Background(), BatchOptions{MinRefs: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestPostingKernelMatchesPairOracle(t *testing.T) {
 	}
 }
 
-// TestSimilaritiesAllocCeiling pins the warm Similarities stage on the
+// TestSimilaritiesAllocCeiling pins the warm SimilaritiesCtx stage on the
 // largest test name at one worker: with the neighborhood cache and the
 // scratch pool warm, a call allocates the result matrix and per-call
 // bookkeeping (8 allocations), never postings or accumulators, whose
@@ -141,16 +142,20 @@ func TestSimilaritiesAllocCeiling(t *testing.T) {
 	w := testWorld(t)
 	cfg := engineConfig(w, false)
 	cfg.Workers = 1
-	e, err := NewEngine(w.DB, cfg)
+	e, err := NewEngineCtx(context.Background(), w.DB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refs := e.RefsForName("Wei Wang")
-	e.Similarities(refs)
-	allocs := testing.AllocsPerRun(50, func() { e.Similarities(refs) })
+	mustSimilarities(t, e, refs)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.SimilaritiesCtx(context.Background(), refs); err != nil {
+			t.Fatal(err)
+		}
+	})
 	const ceiling = 10
 	if allocs > ceiling {
-		t.Fatalf("warm Similarities(%d refs) allocates %.1f times per call, want <= %d",
+		t.Fatalf("warm SimilaritiesCtx(%d refs) allocates %.1f times per call, want <= %d",
 			len(refs), allocs, ceiling)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Wei Wang")[:12]
-	pm := e.PathSimilarities(refs)
+	pm := mustPathSimilarities(t, e, refs)
 	if pm.NumRefs() != 12 {
 		t.Fatalf("NumRefs = %d", pm.NumRefs())
 	}
@@ -34,10 +35,10 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 			}
 		}
 	}
-	// Combine under the engine's weights reproduces Similarities.
+	// Combine under the engine's weights reproduces SimilaritiesCtx.
 	rw, ww := e.Weights()
 	got := Combine(pm, rw, ww)
-	want := e.Similarities(refs)
+	want := mustSimilarities(t, e, refs)
 	for i := range refs {
 		for j := range refs {
 			if math.Abs(got.R[i][j]-want.R[i][j]) > 1e-12 {
@@ -67,7 +68,7 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 func TestMergeProfile(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, true)
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	refs := e.RefsForName("Wei Wang")
@@ -96,7 +97,7 @@ func TestClusterMatrixMapsIndexes(t *testing.T) {
 	w := testWorld(t)
 	e := newTestEngine(t, w, false)
 	refs := e.RefsForName("Bin Yu")
-	m := e.Similarities(refs)
+	m := mustSimilarities(t, e, refs)
 	groups := ClusterMatrix(refs, m, cluster.Combined, 0.005)
 	seen := map[int32]bool{}
 	total := 0
@@ -121,7 +122,7 @@ func TestEngineTimingsAccessor(t *testing.T) {
 	if tm.Expand <= 0 || tm.Enumerate < 0 {
 		t.Errorf("construction timings %+v not recorded", tm)
 	}
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tm = e.Timings()

@@ -169,23 +169,11 @@ func parallelForCtx(ctx context.Context, n, workers int, body func(i int) error)
 	return ctx.Err()
 }
 
-// parallelFor runs body(i) for i in [0,n) on `workers` goroutines
-// (0 = GOMAXPROCS). body must write only to per-index state. It is
-// parallelForCtx without cancellation; a worker panic — impossible on the
-// pipeline's own inputs — is re-raised on the caller with the worker's
-// stack, preserving the pre-resilience contract of the non-context entry
-// points.
-func parallelFor(n, workers int, body func(i int)) {
-	err := parallelForCtx(context.Background(), n, workers, func(i int) error {
-		body(i)
-		return nil
-	})
-	rethrow(err)
-}
-
 // rethrow re-raises an error that cannot legitimately occur on a
-// background-context, fault-free path: recovered worker panics come back
-// with their original stack attached, anything else panics as-is.
+// background-context, fault-free path, for the entry points whose
+// signatures have no error return (MergeProfile, NameAffinity,
+// DisambiguateRefsAuto): recovered worker panics come back with their
+// original stack attached, anything else panics as-is.
 func rethrow(err error) {
 	if err == nil {
 		return

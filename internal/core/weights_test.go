@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -87,7 +88,7 @@ func TestSetWeightsDegenerate(t *testing.T) {
 	n := len(e.Paths())
 	var uniform [][][]reldb.TupleID
 	for _, name := range w.AmbiguousNames() {
-		groups, err := e.DisambiguateName(name)
+		groups, err := e.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestSetWeightsDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, name := range w.AmbiguousNames() {
-		groups, err := e.DisambiguateName(name)
+		groups, err := e.DisambiguateNameCtx(context.Background(), name)
 		if err != nil {
 			t.Fatal(err)
 		}

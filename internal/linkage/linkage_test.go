@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(w.DB, core.Config{
+	e, err := core.NewEngineCtx(context.Background(), w.DB, core.Config{
 		RefRelation: dblp.ReferenceRelation,
 		RefAttr:     dblp.ReferenceAttr,
 		SkipExpand:  []string{dblp.TitleAttr},
@@ -167,7 +168,7 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 	}
 	// Learned weights matter here: uniform weights inflate the affinity of
 	// unrelated people through shared years and publishers.
-	if _, err := e.Train(); err != nil {
+	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	pairs, err := FindDuplicateNames(w.DB, dblp.ReferenceRelation, dblp.ReferenceAttr, Options{
@@ -192,7 +193,10 @@ func TestRelationalVerificationSeparates(t *testing.T) {
 		if len(refs) < 4 {
 			continue
 		}
-		m := e.Similarities(refs)
+		m, err := e.SimilaritiesCtx(context.Background(), refs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		half := len(refs) / 2
 		var sumResem, wAB, wBA float64
 		for i := 0; i < half; i++ {

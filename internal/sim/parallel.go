@@ -12,34 +12,27 @@ import (
 	"distinct/internal/reldb"
 )
 
-// Prefetch computes and caches the neighborhoods of every given reference,
-// fanning the propagation work out over `workers` goroutines (0 means
-// GOMAXPROCS). Propagation per reference is independent and the database
-// is read-only, so the workers only synchronise on the final cache merge.
-// The sparse finalisation (sort + Σ Fwd) also runs on the workers, so a
-// prefetched reference costs the serving path nothing but a cache read.
-func (e *Extractor) Prefetch(refs []reldb.TupleID, workers int) {
-	e.PrefetchSpan(refs, workers, nil)
-}
-
-// PrefetchSpan is Prefetch that, when parent is non-nil, records the work as
-// a "prefetch" child span carrying how many references were requested and
-// how many actually propagated (the rest were cache hits). A fully warm
-// cache records propagated=0, so batch sweeps show per-name prefetch spans
-// that did no work — which is itself the interesting fact.
-func (e *Extractor) PrefetchSpan(refs []reldb.TupleID, workers int, parent *trace.Span) {
-	// Background context never cancels and carries no fault registry, so
-	// the error return is impossible and safely discarded.
-	_ = e.PrefetchCtx(context.Background(), refs, workers, parent)
-}
-
-// PrefetchCtx is PrefetchSpan under a context: cancellation (and the
-// "sim.prefetch" fault point) is observed between per-reference
-// propagations, so the latency to abort is bounded by one propagation. On
-// error, neighborhoods already computed are still merged into the cache —
-// the cache only ever gains entries, so a partial prefetch is safe and the
-// work is not wasted on a degraded retry. A worker panic is recovered into
-// a *fault.PanicError instead of killing the process.
+// PrefetchCtx computes and caches the neighborhoods of every given
+// reference, fanning the propagation work out over `workers` goroutines (0
+// means GOMAXPROCS). Propagation per reference is independent and the
+// database is read-only, so the workers only synchronise on the final cache
+// merge. The sparse finalisation (sort + Σ Fwd) also runs on the workers,
+// so a prefetched reference costs the serving path nothing but a cache
+// read.
+//
+// When parent is non-nil the work is recorded as a "prefetch" child span
+// carrying how many references were requested and how many actually
+// propagated (the rest were cache hits). A fully warm cache records
+// propagated=0, so batch sweeps show per-name prefetch spans that did no
+// work — which is itself the interesting fact.
+//
+// Cancellation (and the "sim.prefetch" fault point) is observed between
+// per-reference propagations, so the latency to abort is bounded by one
+// propagation. On error, neighborhoods already computed are still merged
+// into the cache — the cache only ever gains entries, so a partial prefetch
+// is safe and the work is not wasted on a degraded retry. A worker panic is
+// recovered into a *fault.PanicError instead of killing the process. With a
+// background context and no panic the error is always nil.
 func (e *Extractor) PrefetchCtx(ctx context.Context, refs []reldb.TupleID, workers int, parent *trace.Span) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,11 +1,21 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"distinct/internal/reldb"
 )
+
+// mustPrefetch is PrefetchCtx under a background context with no trace
+// span, failing the test on error.
+func mustPrefetch(t testing.TB, e *Extractor, refs []reldb.TupleID, workers int) {
+	t.Helper()
+	if err := e.PrefetchCtx(context.Background(), refs, workers, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestPrefetchMatchesSequential(t *testing.T) {
 	seqExt, refs := extractorFixture(t)
@@ -16,7 +26,7 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 		seqExt.Neighborhoods(r)
 	}
 	// Parallel prefetch with duplicates in the input.
-	parExt.Prefetch(append(append([]reldb.TupleID(nil), refs...), refs...), 4)
+	mustPrefetch(t, parExt, append(append([]reldb.TupleID(nil), refs...), refs...), 4)
 	if parExt.CacheSize() != len(refs) {
 		t.Fatalf("cache size %d, want %d", parExt.CacheSize(), len(refs))
 	}
@@ -42,13 +52,13 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 
 func TestPrefetchIdempotentAndEmpty(t *testing.T) {
 	ext, refs := extractorFixture(t)
-	ext.Prefetch(refs, 0) // 0 workers = GOMAXPROCS
+	mustPrefetch(t, ext, refs, 0) // 0 workers = GOMAXPROCS
 	size := ext.CacheSize()
-	ext.Prefetch(refs, 2) // everything cached: no-op
+	mustPrefetch(t, ext, refs, 2) // everything cached: no-op
 	if ext.CacheSize() != size {
 		t.Error("second prefetch changed the cache")
 	}
-	ext.Prefetch(nil, 3) // empty input: no-op
+	mustPrefetch(t, ext, nil, 3) // empty input: no-op
 	if ext.CacheSize() != size {
 		t.Error("empty prefetch changed the cache")
 	}
@@ -56,7 +66,7 @@ func TestPrefetchIdempotentAndEmpty(t *testing.T) {
 
 func TestPrefetchSingleWorker(t *testing.T) {
 	ext, refs := extractorFixture(t)
-	ext.Prefetch(refs, 1)
+	mustPrefetch(t, ext, refs, 1)
 	if ext.CacheSize() != len(refs) {
 		t.Fatalf("cache size %d", ext.CacheSize())
 	}

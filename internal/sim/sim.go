@@ -181,7 +181,7 @@ func SymWalkProb(a, b prop.SparseNeighborhood) float64 {
 // PairKernel returns every pairwise similarity between two neighborhoods in
 // one merge-scan: the set resemblance and both directed walk probabilities.
 // It is the reference for the all-pairs posting kernel (batch.go), which
-// the all-pairs stages (core.PathSimilarities, core.Similarities) use and
+// the all-pairs stages (core.PathSimilaritiesCtx, core.SimilaritiesCtx) use and
 // which must match it bit for bit; single pairs (Explain, sampled trace
 // pairs) call it directly.
 func PairKernel(a, b prop.SparseNeighborhood) (resem, walkAB, walkBA float64) {
@@ -267,7 +267,7 @@ type Extractor struct {
 	trie  *prop.Trie // shared-prefix walk over all paths at once
 
 	// The compiled CSR plan (see prop.CompiledTrie) is built lazily by the
-	// first propagation — or eagerly by CompilePlans — exactly once, then
+	// first propagation — or eagerly by CompilePlansCtx — exactly once, then
 	// shared read-only by every worker. Each propagation borrows a scratch
 	// from the pool, so steady-state propagation does not allocate beyond
 	// the neighborhoods it returns.
@@ -277,7 +277,7 @@ type Extractor struct {
 	scratch  sync.Pool
 
 	// workers bounds the parallelism of plan compilation (0 means
-	// GOMAXPROCS). Set it before the first propagation or CompilePlans
+	// GOMAXPROCS). Set it before the first propagation or CompilePlansCtx
 	// call; the engine wires its Config.Workers through here.
 	workers int
 
@@ -317,7 +317,7 @@ func (e *Extractor) Paths() []reldb.JoinPath { return e.paths }
 // SetMetrics points the extractor at an observability registry (nil
 // disables, the default): sim.cache_hits / sim.cache_misses count
 // Neighborhoods lookups, sim.prefetch_requested / sim.prefetch_deduped /
-// sim.prefetch_propagated describe Prefetch batches, and the "prefetch"
+// sim.prefetch_propagated describe PrefetchCtx batches, and the "prefetch"
 // stage records the propagation work itself.
 func (e *Extractor) SetMetrics(r *obs.Registry) {
 	e.obs = r
@@ -330,7 +330,7 @@ func (e *Extractor) SetMetrics(r *obs.Registry) {
 
 // SetWorkers bounds the parallelism of plan compilation (0, the default,
 // means GOMAXPROCS). It must be called before the first propagation or
-// CompilePlans call; it has no effect once the plan is compiled.
+// CompilePlansCtx call; it has no effect once the plan is compiled.
 func (e *Extractor) SetWorkers(n int) { e.workers = n }
 
 // compileWith compiles the CSR plan under the sync.Once, observing ctx
@@ -353,17 +353,12 @@ func (e *Extractor) compiled() *prop.CompiledTrie {
 	return e.plan
 }
 
-// CompilePlans forces plan compilation now instead of at the first
+// CompilePlansCtx forces plan compilation now instead of at the first
 // propagation, and reports the plan's size along with how long the compile
 // took (zero when the plan already existed). The engine calls it under its
 // "compile_plans" stage so the one-off cost is attributed there rather
-// than smeared into the first name's latency.
-func (e *Extractor) CompilePlans() (hops, edges int, took time.Duration) {
-	return e.CompilePlansCtx(context.Background())
-}
-
-// CompilePlansCtx is CompilePlans under a context: the parallel per-hop
-// warm-up observes ctx between hops, so cancellation is bounded by one hop
+// than smeared into the first name's latency. The parallel per-hop warm-up
+// observes ctx between hops, so cancellation is bounded by one hop
 // compile. The plan is still fully assembled (serial assembly compiles any
 // hop the interrupted warm-up skipped), so the result is always usable;
 // cancellation here only stops the speculative parallel work.
@@ -411,7 +406,7 @@ func (e *Extractor) Neighborhoods(r reldb.TupleID) []prop.SparseNeighborhood {
 // resolving all cached entries under one lock acquisition instead of one
 // per reference. out is reused when large enough (pass nil to allocate).
 // References missing from the cache fall back to Neighborhoods, so the
-// result is always complete; after a Prefetch of refs the fallback never
+// result is always complete; after a PrefetchCtx of refs the fallback never
 // runs. Cache metrics count one hit per cached reference — the same as the
 // per-reference calls the batch replaces.
 func (e *Extractor) NeighborhoodsAll(refs []reldb.TupleID, out [][]prop.SparseNeighborhood) [][]prop.SparseNeighborhood {

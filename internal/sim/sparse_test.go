@@ -121,7 +121,7 @@ func TestGallopTo(t *testing.T) {
 
 // TestNeighborhoodsConcurrentMiss is the regression test for the cache
 // race: many goroutines request uncached neighborhoods concurrently —
-// without Prefetch — which used to write the cache map unsynchronized.
+// without PrefetchCtx — which used to write the cache map unsynchronized.
 // Run under -race (scripts/check.sh does) to detect regressions.
 func TestNeighborhoodsConcurrentMiss(t *testing.T) {
 	ext, refs := extractorFixture(t)
