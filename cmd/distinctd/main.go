@@ -21,7 +21,7 @@
 //	distinctd -world world.json [-addr :8080]
 //	distinctd -demo               # generate a synthetic world instead
 //	          [-train N] [-seed S] [-unsupervised]
-//	          [-cache-bytes B]    result-cache budget (0 default 16MiB, -1 off)
+//	          [-cache-bytes B]    result- and 404-cache budget (0 default 16MiB, -1 off)
 //	          [-concurrency N]    engine computation slots (0 = GOMAXPROCS)
 //	          [-max-queue N]      admission queue depth (0 = 4x concurrency)
 //	          [-name-timeout D]   per-request engine budget (degrade past it)
@@ -83,7 +83,7 @@ func run() error {
 		trainN       = flag.Int("train", 300, "training pairs per class")
 		seed         = flag.Int64("seed", 1, "training-set sampling seed")
 		unsupervised = flag.Bool("unsupervised", false, "skip SVM weight learning")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "result-cache budget in bytes (0 = 16MiB default, negative disables)")
+		cacheBytes   = flag.Int64("cache-bytes", 0, "result-cache budget in bytes, shared by cached 404s (0 = 16MiB default, negative disables both)")
 		concurrency  = flag.Int("concurrency", 0, "concurrent engine computations (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("max-queue", 0, "admission queue depth before 429 (0 = 4x concurrency)")
 		nameTimeout  = flag.Duration("name-timeout", 2*time.Second, "per-request engine budget; past it the answer degrades")

@@ -70,8 +70,12 @@ func TestBlockedMatchesUnblocked(t *testing.T) {
 	if _, err := e.TrainCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rw, ww := e.Weights()
 	for _, name := range w.AmbiguousNames() {
 		refs := e.RefsForName(name)
+		// The per-path matrices re-combined under the engine's weights: the
+		// experiments harness clusters exactly this.
+		combined := Combine(mustPathSimilarities(t, e, refs), rw, ww)
 		for _, minSim := range []float64{0.001, 0.005, 0.05} {
 			e.SetMinSim(minSim)
 			blocked, err := e.disambiguateBlockedCtxAt(context.Background(), nil, refs)
@@ -81,6 +85,10 @@ func TestBlockedMatchesUnblocked(t *testing.T) {
 			plain := ClusterMatrix(refs, mustSimilarities(t, e, refs), e.cfg.Measure, minSim)
 			if !reflect.DeepEqual(blocked, plain) {
 				t.Fatalf("%s at min-sim %v: blocked %v != plain %v", name, minSim, blocked, plain)
+			}
+			recombined := ClusterMatrix(refs, combined, e.cfg.Measure, minSim)
+			if !reflect.DeepEqual(blocked, recombined) {
+				t.Fatalf("%s at min-sim %v: blocked %v != re-combined %v", name, minSim, blocked, recombined)
 			}
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"distinct/internal/sim"
 	"distinct/internal/svm"
 	"distinct/internal/trainset"
-	"distinct/internal/vcache"
 )
 
 // Config tells the engine where the references live and how to process
@@ -142,12 +141,6 @@ type Engine struct {
 
 	resemW []float64 // per-path weights, non-negative, sum 1
 	walkW  []float64
-
-	// matCache, when non-nil (EnableMatrixReuse), caches per-block
-	// PathMatrices keyed on (refs, db version) so weight/threshold sweeps
-	// recombine instead of recompute. Nil (the default) costs one pointer
-	// check per similarity stage.
-	matCache *vcache.Cache[string, *PathMatrices]
 
 	timings Timings
 	obs     *obs.Registry // nil when observability is off
@@ -532,35 +525,13 @@ func (pm *PathMatrices) NumRefs() int {
 // probabilities at once. Cancellation is observed at the stage boundary and
 // between pairwise rows.
 func (e *Engine) PathSimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (*PathMatrices, error) {
-	return e.pathSimilaritiesCtxAt(ctx, e.root(), refs)
-}
-
-// pathSimilaritiesCtxAt is PathSimilaritiesCtx with the stage span parented
-// under parent (nil parent: tracing off or disabled for this call).
-//
-// With matrix reuse enabled, a block already computed for the same
-// (refs, database version) is returned as-is; the stage span still appears
-// — once, carrying reused=true — so sweeps show the reuse instead of
-// logging identical heavyweight spans per variant.
-func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID) (*PathMatrices, error) {
 	n := len(refs)
 	np := len(e.paths)
 	pairs := n * (n - 1) / 2
-	st, err := begin(ctx, e.obs, parent, "path_sims",
+	st, err := begin(ctx, e.obs, e.root(), "path_sims",
 		trace.Int("refs", int64(n)), trace.Int("pairs", int64(pairs)))
 	if err != nil {
 		return nil, err
-	}
-	version := e.db.Version()
-	var key string
-	if e.matCache != nil {
-		key = matKey(refs, np)
-		if pm, state := e.matCache.Get(key, version, 0); state == vcache.Fresh {
-			e.obs.Counter("core.matrix_cache_hits").Inc()
-			st.end(0, trace.Bool("reused", true)) // no pairwise work done
-			return pm, nil
-		}
-		e.obs.Counter("core.matrix_cache_misses").Inc()
 	}
 	pm := NewPathMatrices(np, n)
 	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
@@ -593,11 +564,6 @@ func (e *Engine) pathSimilaritiesCtxAt(ctx context.Context, parent *trace.Span, 
 	})
 	if err != nil {
 		return nil, st.fail(err)
-	}
-	if e.matCache != nil {
-		if ev := e.matCache.Put(key, version, pm, matBytes(pm)); ev > 0 {
-			e.obs.Counter("core.matrix_cache_evictions").Add(ev)
-		}
 	}
 	st.end(pairs)
 	return pm, nil
@@ -652,9 +618,10 @@ func (e *Engine) SimilaritiesCtx(ctx context.Context, refs []reldb.TupleID) (clu
 // the blocks stage (see blocks.go) and the rows read them through its
 // index remap; the zero set makes the stage index refs itself.
 //
-// With matrix reuse enabled, the combined matrix is derived from the cached
-// (or freshly cached) per-path matrices via Combine — the same floats,
-// since both accumulate per-path contributions in ascending path order.
+// Callers that re-combine one block under many weightings (the experiment
+// sweeps) hold PathSimilaritiesCtx's matrices and fold them with Combine:
+// the same floats, since both accumulate per-path contributions in
+// ascending path order.
 func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs []reldb.TupleID, set blockSet) (cluster.Matrix, error) {
 	n := len(refs)
 	st, err := begin(ctx, e.obs, parent, "similarities",
@@ -663,64 +630,55 @@ func (e *Engine) similaritiesCtxAt(ctx context.Context, parent *trace.Span, refs
 		return cluster.Matrix{}, err
 	}
 
-	var m cluster.Matrix
-	if e.matCache != nil {
-		pm, err := e.pathSimilaritiesCtxAt(ctx, st.tsp, refs)
-		if err != nil {
-			return cluster.Matrix{}, st.fail(err)
-		}
-		m = Combine(pm, e.resemW, e.walkW)
-	} else {
-		m = cluster.NewMatrix(n)
-		if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
-			return cluster.Matrix{}, st.fail(stageErr("prefetch", err))
-		}
-		// A block reads its name's postings and needs no neighborhoods, but
-		// the lookup stays so sim.cache_hits counts every stage alike.
-		nbs := e.ext.NeighborhoodsAll(refs, nil)
-		post := set.post
-		if post == nil {
-			// Not a block of a larger name: index refs on their own.
-			s := e.ext.BatchScratch()
-			defer e.ext.PutBatchScratch(s)
-			post = s.Postings(nbs, e.weighted)
-		}
-		// Resolved once per stage: the per-row injection point below costs
-		// one nil check per row when fault injection is off.
-		freg := fault.From(ctx)
-		err := parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
-			if freg != nil {
-				if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
-					return err
-				}
+	m := cluster.NewMatrix(n)
+	if err := e.ext.PrefetchCtx(ctx, refs, e.cfg.Workers, st.tsp); err != nil {
+		return cluster.Matrix{}, st.fail(stageErr("prefetch", err))
+	}
+	// A block reads its name's postings and needs no neighborhoods, but
+	// the lookup stays so sim.cache_hits counts every stage alike.
+	nbs := e.ext.NeighborhoodsAll(refs, nil)
+	post := set.post
+	if post == nil {
+		// Not a block of a larger name: index refs on their own.
+		s := e.ext.BatchScratch()
+		defer e.ext.PutBatchScratch(s)
+		post = s.Postings(nbs, e.weighted)
+	}
+	// Resolved once per stage: the per-row injection point below costs
+	// one nil check per row when fault injection is off.
+	freg := fault.From(ctx)
+	err = parallelForCtx(ctx, n, e.cfg.Workers, func(i int) error {
+		if freg != nil {
+			if err := freg.Fire(ctx, "core.similarities.row"); err != nil {
+				return err
 			}
-			ws := e.ext.BatchScratch()
-			defer e.ext.PutBatchScratch(ws)
-			rowR, rowW := m.R[i], m.W[i]
-			// Per weighted path, one posting-list walk over the partners
-			// sharing a tuple with i; contributions accumulate into the row
-			// in ascending path order — the same order (and therefore the
-			// same floats) as the per-pair loop this replaces.
-			for slot, p := range post.Paths() {
-				rw, ww := e.resemW[p], e.walkW[p]
-				touched, out := ws.Row(post, slot, set.row(i))
-				for _, g := range touched {
-					t, j := out[g], set.local(g)
-					rowR[j] += rw * t.Resem
-					rowW[j] += ww * t.WalkAB
-					m.W[j][i] += ww * t.WalkBA
-				}
-			}
-			// Mirror the symmetric resemblance; each (j,i) cell below the
-			// diagonal is written by exactly one row worker.
-			for j := i + 1; j < n; j++ {
-				m.R[j][i] = rowR[j]
-			}
-			return nil
-		})
-		if err != nil {
-			return cluster.Matrix{}, st.fail(err)
 		}
+		ws := e.ext.BatchScratch()
+		defer e.ext.PutBatchScratch(ws)
+		rowR, rowW := m.R[i], m.W[i]
+		// Per weighted path, one posting-list walk over the partners
+		// sharing a tuple with i; contributions accumulate into the row
+		// in ascending path order — the same order (and therefore the
+		// same floats) as the per-pair loop this replaces.
+		for slot, p := range post.Paths() {
+			rw, ww := e.resemW[p], e.walkW[p]
+			touched, out := ws.Row(post, slot, set.row(i))
+			for _, g := range touched {
+				t, j := out[g], set.local(g)
+				rowR[j] += rw * t.Resem
+				rowW[j] += ww * t.WalkAB
+				m.W[j][i] += ww * t.WalkBA
+			}
+		}
+		// Mirror the symmetric resemblance; each (j,i) cell below the
+		// diagonal is written by exactly one row worker.
+		for j := i + 1; j < n; j++ {
+			m.R[j][i] = rowR[j]
+		}
+		return nil
+	})
+	if err != nil {
+		return cluster.Matrix{}, st.fail(err)
 	}
 	if st.tsp != nil {
 		if every := e.tr.SamplePairEvery(); every > 0 {

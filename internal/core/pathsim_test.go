@@ -2,11 +2,50 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"distinct/internal/cluster"
 )
+
+// TestSimilaritiesFinite: on every name of the core test world, under
+// learned and uniform weights, every cell of SimilaritiesCtx and
+// PathSimilaritiesCtx is finite, resemblance lies in [0,1] and walk
+// probability is non-negative.
+func TestSimilaritiesFinite(t *testing.T) {
+	w := testWorld(t)
+	check := func(what string, r, wk [][]float64) {
+		t.Helper()
+		for i := range r {
+			for j := range r[i] {
+				if x := r[i][j]; math.IsNaN(x) || x < 0 || x > 1 {
+					t.Fatalf("%s R[%d][%d] = %v, want in [0,1]", what, i, j, x)
+				}
+				if x := wk[i][j]; math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+					t.Fatalf("%s W[%d][%d] = %v, want finite and >= 0", what, i, j, x)
+				}
+			}
+		}
+	}
+	for _, supervised := range []bool{true, false} {
+		e := newTestEngine(t, w, supervised)
+		if supervised {
+			if _, err := e.TrainCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range e.NamesWithRefs(1) {
+			refs := e.RefsForName(name)
+			m := mustSimilarities(t, e, refs)
+			check(name, m.R, m.W)
+			pm := mustPathSimilarities(t, e, refs)
+			for p := range pm.R {
+				check(fmt.Sprintf("%s path %d", name, p), pm.R[p], pm.W[p])
+			}
+		}
+	}
+}
 
 func TestPathSimilaritiesAndCombine(t *testing.T) {
 	w := testWorld(t)
@@ -35,22 +74,29 @@ func TestPathSimilaritiesAndCombine(t *testing.T) {
 			}
 		}
 	}
-	// Combine under the engine's weights reproduces SimilaritiesCtx.
-	rw, ww := e.Weights()
-	got := Combine(pm, rw, ww)
-	want := mustSimilarities(t, e, refs)
-	for i := range refs {
-		for j := range refs {
-			if math.Abs(got.R[i][j]-want.R[i][j]) > 1e-12 {
-				t.Fatalf("Combine R[%d][%d] = %v, Similarities %v", i, j, got.R[i][j], want.R[i][j])
-			}
-			if math.Abs(got.W[i][j]-want.W[i][j]) > 1e-12 {
-				t.Fatalf("Combine W[%d][%d] = %v, Similarities %v", i, j, got.W[i][j], want.W[i][j])
-			}
+	// Combine under the engine's weights reproduces SimilaritiesCtx bit for
+	// bit on every name with two or more references, under uniform weights
+	// and under learned ones (some paths weightless): the experiments
+	// harness clusters re-combined held matrices and relies on this.
+	sameCombine := func(e *Engine, what string) {
+		t.Helper()
+		rw, ww := e.Weights()
+		for _, name := range e.NamesWithRefs(2) {
+			refs := e.RefsForName(name)
+			got := Combine(mustPathSimilarities(t, e, refs), rw, ww)
+			want := mustSimilarities(t, e, refs)
+			sameBits(t, what+" "+name+" R", got.R, want.R)
+			sameBits(t, what+" "+name+" W", got.W, want.W)
 		}
 	}
+	sameCombine(e, "uniform")
+	trained := newTestEngine(t, w, true)
+	if _, err := trained.TrainCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sameCombine(trained, "trained")
 	// Zero weights zero out the combination.
-	zero := make([]float64, len(rw))
+	zero := make([]float64, len(e.Paths()))
 	z := Combine(pm, zero, zero)
 	for i := range refs {
 		for j := range refs {

@@ -9,6 +9,7 @@ import (
 	"distinct/internal/core"
 	"distinct/internal/dblp"
 	"distinct/internal/eval"
+	"distinct/internal/reldb"
 	"distinct/internal/trainset"
 )
 
@@ -63,29 +64,33 @@ func (h *Harness) ExpansionAblation() ([]ExpansionRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: expansion ablation %q: %w", cfg.label, err)
 		}
-		// The grid sweep below re-evaluates the same per-name blocks at
-		// every threshold; with matrix reuse on, only the first pass pays
-		// for the per-path matrices.
-		engine.EnableMatrixReuse(0)
 		if cfg.supervised {
 			if _, err := engine.TrainCtx(context.Background()); err != nil {
 				return nil, err
 			}
 		}
+		// The weights are fixed per configuration, so each name's combined
+		// similarities are computed once and every grid point below only
+		// re-clusters them — the same groups the engine's blocked path
+		// yields at a positive min-sim.
 		names := h.World.AmbiguousNames()
+		refs := make([][]reldb.TupleID, len(names))
+		sims := make([]cluster.Matrix, len(names))
+		gold := make([]eval.Clustering, len(names))
+		for i, name := range names {
+			refs[i] = engine.RefsForName(name)
+			if sims[i], err = engine.SimilaritiesCtx(context.Background(), refs[i]); err != nil {
+				return nil, err
+			}
+			for _, c := range h.World.GoldClusters(name) {
+				gold[i] = append(gold[i], engine.MapRefs(c))
+			}
+		}
 		evalAt := func(minSim float64) (eval.Metrics, error) {
-			engine.SetMinSim(minSim)
 			ms := make([]eval.Metrics, len(names))
-			for i, name := range names {
-				pred, err := engine.DisambiguateNameCtx(context.Background(), name)
-				if err != nil {
-					return eval.Metrics{}, err
-				}
-				var gold eval.Clustering
-				for _, c := range h.World.GoldClusters(name) {
-					gold = append(gold, engine.MapRefs(c))
-				}
-				m, err := eval.Evaluate(eval.Clustering(pred), gold)
+			for i := range names {
+				pred := core.ClusterMatrix(refs[i], sims[i], cluster.Combined, minSim)
+				m, err := eval.Evaluate(eval.Clustering(pred), gold[i])
 				if err != nil {
 					return eval.Metrics{}, err
 				}

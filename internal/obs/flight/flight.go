@@ -64,7 +64,7 @@ type Record struct {
 	// Latency is the handler wall time (marshals as nanoseconds).
 	Latency time.Duration `json:"latency_ns"`
 	// Cached, Coalesced, Degraded mirror the response envelope's serving
-	// metadata; NegCached marks a 404 served from the negative cache.
+	// metadata; NegCached marks a 404 served from a cached absent entry.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 	Degraded  bool `json:"degraded,omitempty"`

@@ -1,11 +1,22 @@
 package serve
 
 // Per-name result cache: a byte-bounded vcache.Cache keyed by name and
-// tagged with Database.Version, the serving-layer sibling of core's matrix
-// cache (matcache.go). A probe at the current version either hits fresh,
-// hits STALE (the previous-version entry, still servable inside the
+// tagged with Database.Version. A probe at the current version either hits
+// fresh, hits STALE (the previous-version entry, still servable inside the
 // stale-while-revalidate window while a background flight recomputes), or
 // purges the entry on the way through.
+//
+// A nil result is the absent entry: "no references at version V". Fleets of
+// probing clients (and typo storms) repeat the same unknown names, so
+// remembering absence turns those repeats into a map hit instead of a walk
+// of the backend's name index. An Insert stales absent entries with the
+// rest — a name absent at V may exist at V+1 — and inside the
+// stale-while-revalidate window a stale absent entry still answers (a 404
+// marked stale) while a background flight re-checks the name; a name that
+// just appeared is the one case staleness can hide, which is exactly what
+// the window bounds. Absent entries share the result budget, at the
+// per-entry overhead of resultBytes.
+//
 // Only clean results are cached; degraded or incident-bearing responses are
 // transient by nature and recomputing them is the point.
 //
@@ -27,10 +38,14 @@ package serve
 const DefaultCacheBytes = 16 << 20
 
 // resultBytes estimates a result's resident size: string bytes plus slice
-// and header overhead. An estimate is enough — the budget bounds growth,
-// it does not account memory to the byte.
+// and header overhead (just the entry overhead for an absent entry). An
+// estimate is enough — the budget bounds growth, it does not account
+// memory to the byte.
 func resultBytes(name string, res *NameResult) int64 {
 	n := int64(len(name)) + 96 // entry struct, map slot, list links
+	if res == nil {
+		return n
+	}
 	for _, g := range res.Groups {
 		n += 24 // slice header
 		for _, k := range g {

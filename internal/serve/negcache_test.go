@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -41,32 +42,75 @@ func TestNegativeCacheServes404sCheaply(t *testing.T) {
 	}
 }
 
+// TestNegCacheDisabled: absent entries live in the result cache, so a
+// negative CacheBytes turns off 404 caching with it — every repeat 404
+// walks the backend's name index again.
 func TestNegCacheDisabled(t *testing.T) {
 	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) {
-		o.NegCacheEntries = -1
+		o.CacheBytes = -1
 	})
-	if s.neg != nil {
-		t.Fatal("negcache built despite NegCacheEntries=-1")
+	if s.cache != nil {
+		t.Fatal("result cache built despite CacheBytes=-1")
 	}
 	doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
 	doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
 	if got := s.reg.Counter("serve.negcache_hits").Value(); got != 0 {
-		t.Errorf("disabled negcache recorded %d hits", got)
+		t.Errorf("disabled cache recorded %d negcache hits", got)
+	}
+	if got := s.reg.Counter("serve.negcache_misses").Value(); got != 2 {
+		t.Errorf("negcache_misses = %d, want 2", got)
 	}
 }
 
+// TestNegCacheEviction: absent entries share the result cache's byte
+// budget. They evict each other and results alike, results evict them, and
+// every eviction counts in serve.cache_evictions.
 func TestNegCacheEviction(t *testing.T) {
-	s := newTestServer(t, newStubBackend("Wei Wang"), func(o *Options) {
-		o.NegCacheEntries = 2
+	ghost := func(i int) string { return fmt.Sprintf("ghost-%d", i) }
+	b := newStubBackend("Wei Wang")
+	s := newTestServer(t, b, func(o *Options) {
+		o.CacheBytes = 2 * resultBytes(ghost(0), nil) // room for two absent entries
 	})
+	get := func(name string, want int) {
+		t.Helper()
+		if w, _ := doJSON(t, s.Handler(), "GET", "/v1/name/"+url.PathEscape(name), ""); w.Code != want {
+			t.Fatalf("%s: status %d, want %d", name, w.Code, want)
+		}
+	}
+	evictions := func() int64 { return s.reg.Counter("serve.cache_evictions").Value() }
+
 	for i := 0; i < 4; i++ {
-		doJSON(t, s.Handler(), "GET", fmt.Sprintf("/v1/name/ghost-%d", i), "")
+		get(ghost(i), http.StatusNotFound)
 	}
-	if got := s.reg.Counter("serve.negcache_evictions").Value(); got != 2 {
-		t.Errorf("negcache_evictions = %d, want 2", got)
+	if got := evictions(); got != 2 {
+		t.Errorf("cache_evictions after four absent entries = %d, want 2", got)
 	}
-	if s.neg.Len() != 2 {
-		t.Errorf("negcache len = %d, want 2", s.neg.Len())
+	if s.cache.Len() != 2 {
+		t.Errorf("cache len = %d, want 2", s.cache.Len())
+	}
+	get(ghost(3), http.StatusNotFound) // still cached
+	if got := s.reg.Counter("serve.negcache_hits").Value(); got != 1 {
+		t.Errorf("negcache_hits = %d, want 1", got)
+	}
+
+	// A result outweighs the whole budget: it is kept alone and pushes out
+	// both absent entries.
+	get("Wei Wang", http.StatusOK)
+	if got := evictions(); got != 4 {
+		t.Errorf("cache_evictions after a result = %d, want 4", got)
+	}
+	if s.cache.Len() != 1 {
+		t.Errorf("cache len = %d, want 1 (the result alone)", s.cache.Len())
+	}
+	// The next absent entry evicts the result in turn: the name computes
+	// again on its next lookup.
+	get(ghost(0), http.StatusNotFound)
+	if got := evictions(); got != 5 {
+		t.Errorf("cache_evictions after an absent entry = %d, want 5", got)
+	}
+	get("Wei Wang", http.StatusOK)
+	if got := b.calls.Load(); got != 2 {
+		t.Errorf("backend calls = %d, want 2 (the evicted result recomputed)", got)
 	}
 }
 

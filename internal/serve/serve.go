@@ -55,8 +55,9 @@ type Options struct {
 	// "serve.compute" injection point (and the engine's core.* points
 	// beneath it) can fire — chaos tests and drills only.
 	Fault *fault.Registry
-	// CacheBytes is the result-cache budget: 0 means DefaultCacheBytes,
-	// negative disables caching.
+	// CacheBytes is the result-cache budget, shared by results and the
+	// absent entries that answer repeated 404s: 0 means DefaultCacheBytes,
+	// negative disables caching of both.
 	CacheBytes int64
 	// Concurrency bounds simultaneous engine computations (0 = GOMAXPROCS).
 	Concurrency int
@@ -100,12 +101,9 @@ type Options struct {
 	// BatchFanout bounds concurrent lookups inside one batch request
 	// (0 = DefaultBatchFanout, 1 = sequential).
 	BatchFanout int
-	// NegCacheEntries caps the negative-result cache for the 404 path
-	// (0 = DefaultNegCacheEntries, negative disables).
-	NegCacheEntries int
 
 	// MaxStale bounds stale-while-revalidate: after a database version bump,
-	// cached previous-version results (and negative entries) keep serving —
+	// cached previous-version results (and absent entries) keep serving —
 	// marked stale in the envelope — for up to this long while a single
 	// background flight recomputes at the new version. 0 = DefaultMaxStale,
 	// negative disables staleness (a bump invalidates immediately, the
@@ -199,7 +197,7 @@ type batchResponse struct {
 }
 
 // errorBody is the error envelope every non-2xx response carries. Stale
-// marks a 404 served from a stale negative-cache entry (the name may exist
+// marks a 404 served from a stale absent entry (the name may exist
 // at the current version; revalidation is in flight).
 type errorBody struct {
 	Error  string `json:"error"`
@@ -220,8 +218,7 @@ type Server struct {
 	backend     Backend
 	traced      TracedBackend // backend's tracing extension, nil if unsupported
 	reg         *obs.Registry
-	cache       *vcache.Cache[string, *NameResult] // cost: resultBytes
-	neg         *vcache.Cache[string, struct{}]    // cost 1: budget is an entry count
+	cache       *vcache.Cache[string, *NameResult] // nil value: absent; cost: resultBytes
 	flights     *flightGroup
 	adm         *admission
 	handler     http.Handler
@@ -262,7 +259,6 @@ type Server struct {
 	cCacheEvict  *obs.Counter
 	cNegHits     *obs.Counter
 	cNegMisses   *obs.Counter
-	cNegEvict    *obs.Counter
 	cCoalesced   *obs.Counter
 	cComputes    *obs.Counter
 	cDegraded    *obs.Counter
@@ -357,14 +353,6 @@ func New(opts Options) (*Server, error) {
 	default:
 		s.cache = vcache.New[string, *NameResult](opts.CacheBytes)
 	}
-	switch {
-	case opts.NegCacheEntries < 0:
-		// negative cache disabled
-	case opts.NegCacheEntries == 0:
-		s.neg = vcache.New[string, struct{}](DefaultNegCacheEntries)
-	default:
-		s.neg = vcache.New[string, struct{}](int64(opts.NegCacheEntries))
-	}
 
 	// Request observability: flight recorder (default on — it is the
 	// always-on black box), access logger, SLO tracker, request ids. The
@@ -409,7 +397,6 @@ func New(opts Options) (*Server, error) {
 	s.cCacheEvict = reg.Counter("serve.cache_evictions")
 	s.cNegHits = reg.Counter("serve.negcache_hits")
 	s.cNegMisses = reg.Counter("serve.negcache_misses")
-	s.cNegEvict = reg.Counter("serve.negcache_evictions")
 	s.cCoalesced = reg.Counter("serve.coalesced")
 	s.cComputes = reg.Counter("serve.computes")
 	s.cDegraded = reg.Counter("serve.degraded")
@@ -678,38 +665,39 @@ type lookupMeta struct {
 	cached    bool
 	coalesced bool
 	negCached bool
-	// stale marks a result (or negative 404) served from a previous database
+	// stale marks a result (or cached 404) served from a previous database
 	// version inside the stale-while-revalidate window.
 	stale bool
 }
 
-// lookup resolves one name: version read, negative-cache probe, cache probe,
-// coalesced compute. The version is read BEFORE either cache probe — with
-// the reverse order a concurrent Insert could slip between them and the
+// lookup resolves one name: version read, cache probe, coalesced compute.
+// A nil cached result is the absent entry: the name had no references at
+// the entry's version, so the lookup 404s without walking the backend's
+// name index. The version is read BEFORE the cache probe — with the
+// reverse order a concurrent Insert could slip between them and the
 // probe would hand back a result computed against the old contents labeled
 // with the new version. reldb.Insert upholds the matching edge on its side
 // (invalidate before bump; see version_order_test.go).
 //
 // Stale-while-revalidate: when a version bump has outdated a cache entry
-// (positive or negative) but the entry is inside the staleness window, it
+// (result or absent) but the entry is inside the staleness window, it
 // is served immediately — marked stale — and a single background flight
 // recomputes at the new version. A bump therefore costs no latency cliff:
 // hot names keep answering from cache while revalidation fills in behind.
 func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMeta, error) {
 	version := s.backend.Version()
-	if _, state := s.neg.Get(name, version, s.maxStale); state != vcache.Miss {
-		if state == vcache.Stale {
-			s.cStaleNeg.Inc()
-			s.revalidate(name, version)
-			return nil, lookupMeta{negCached: true, stale: true}, errNotFound
-		}
+	switch res, state := s.cache.Get(name, version, s.maxStale); {
+	case state == vcache.Fresh && res == nil:
 		s.cNegHits.Inc()
 		return nil, lookupMeta{negCached: true}, errNotFound
-	}
-	if res, state := s.cache.Get(name, version, s.maxStale); state == vcache.Fresh {
+	case state == vcache.Fresh:
 		s.cCacheHits.Inc()
 		return res, lookupMeta{cached: true}, nil
-	} else if state == vcache.Stale {
+	case state == vcache.Stale && res == nil:
+		s.cStaleNeg.Inc()
+		s.revalidate(name, version)
+		return nil, lookupMeta{negCached: true, stale: true}, errNotFound
+	case state == vcache.Stale:
 		s.cStaleHits.Inc()
 		s.revalidate(name, version)
 		return res, lookupMeta{cached: true, stale: true}, nil
@@ -718,9 +706,7 @@ func (s *Server) lookup(ctx context.Context, name string) (*NameResult, lookupMe
 		// A negcache miss is counted only on this slow 404 path, so
 		// hits/(hits+misses) reads as the fraction of 404s served cheaply.
 		s.cNegMisses.Inc()
-		if evicted := s.neg.Put(name, version, struct{}{}, 1); evicted > 0 {
-			s.cNegEvict.Add(evicted)
-		}
+		s.store(name, version, nil)
 		return nil, lookupMeta{}, errNotFound
 	}
 	s.cCacheMisses.Inc()
@@ -755,11 +741,9 @@ func (s *Server) revalidate(name string, version int64) {
 				return nil, ferr
 			}
 			if s.backend.NumRefs(name) == 0 {
-				// The name vanished (or never existed at this version): refresh
-				// the negative fact so the next probe 404s fresh.
-				if evicted := s.neg.Put(name, version, struct{}{}, 1); evicted > 0 {
-					s.cNegEvict.Add(evicted)
-				}
+				// The name vanished (or never existed at this version): store
+				// the absent entry so the next probe 404s fresh.
+				s.store(name, version, nil)
 				return nil, errNotFound
 			}
 			return s.compute(fctx, name, version)
@@ -898,15 +882,17 @@ func (s *Server) compute(fctx context.Context, name string, version int64) (res 
 			cp.trace = nil
 			stored = &cp
 		}
-		if evicted := s.cache.Put(name, version, stored, resultBytes(name, stored)); evicted > 0 {
-			s.cCacheEvict.Add(evicted)
-		}
-		// A published positive result supersedes any negative fact for the
-		// name (a stale negative would otherwise outrank the fresh entry in
-		// lookup's probe order).
-		s.neg.Drop(name)
+		s.store(name, version, stored)
 	}
 	return res, nil
+}
+
+// store caches a result (nil: the absent entry) at version. An entry for
+// the name at an older version, result or absent, is replaced.
+func (s *Server) store(name string, version int64, res *NameResult) {
+	if evicted := s.cache.Put(name, version, res, resultBytes(name, res)); evicted > 0 {
+		s.cCacheEvict.Add(evicted)
+	}
 }
 
 // statusFor maps a result to its HTTP status: a panic or error incident is
@@ -955,7 +941,7 @@ func (s *Server) handleName(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		status, msg := s.errStatus(err)
 		ri.noteError(name, msg, meta)
 		if meta.stale && status == http.StatusNotFound {
-			// A stale negative: the 404 carries stale so the client knows the
+			// A stale absent entry: the 404 carries stale so the client knows the
 			// fact is from a previous version and a re-check is in flight.
 			s.cNotFound.Inc()
 			writeJSON(w, status, errorBody{Error: msg, Status: status, Stale: true})

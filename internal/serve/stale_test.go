@@ -183,7 +183,12 @@ func TestStaleNegativeServes404(t *testing.T) {
 	// Revalidation finds the name and caches the result; the next lookup is
 	// a fresh 200.
 	waitUntil(t, "revalidation to land", func() bool { return s.flights.inflight() == 0 })
-	waitUntil(t, "fresh entry to appear", func() bool { return s.cache.Len() == 1 })
+	// The absent entry shares the name's cache slot, so wait for the fresh
+	// result itself to replace it.
+	waitUntil(t, "fresh entry to appear", func() bool {
+		res, state := s.cache.Get("Nobody", b.Version(), s.maxStale)
+		return state == vcache.Fresh && res != nil
+	})
 	w, resp = doJSON(t, s.Handler(), "GET", "/v1/name/Nobody", "")
 	if w.Code != http.StatusOK || resp["stale"] == true {
 		t.Fatalf("post-revalidate lookup: status %d, body %v", w.Code, resp)
